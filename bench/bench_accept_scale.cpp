@@ -105,11 +105,8 @@ struct AcceptRun {
 
 AcceptRun run_accept_stream(const std::vector<AcceptJob>& jobs, bool lazy,
                             bool keep_decisions) {
-  PdScheduler scheduler(kMachine, {.delta = {},
-                                   .incremental = true,
-                                   .indexed = true,
-                                   .windowed = true,
-                                   .lazy = lazy});
+  PdScheduler scheduler(kMachine,
+                        {.delta = {}, .windowed = true, .lazy = lazy});
   AcceptRun run;
   if (keep_decisions) run.decisions.reserve(jobs.size());
   const auto start = clock_type::now();

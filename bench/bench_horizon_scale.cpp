@@ -4,24 +4,25 @@
 //
 // Two measurements:
 //
-//  1. Refinement-only ("split cost"): a bisection boundary stream driven
-//     straight through core::OnlineState — seed [0, N), then insert the
-//     interior integer boundaries in bit-reversed order so every insert
-//     splits an existing interval and lands in the middle of the boundary
-//     order, with committed load present so splits divide nonempty
-//     intervals. This isolates what the tentpole changes: per-insert cost
-//     of TimePartition::insert_boundary + WorkAssignment::split_interval
-//     (contiguous, O(n) vector shifting) vs IntervalStore::ensure_boundary
-//     (indexed, O(log n) treap insert). The contiguous backend is capped
-//     below the largest size by default — it is quadratic there, which is
-//     the point of the exercise.
+//  1. Refinement-only ("split cost"): a bisection boundary stream — seed
+//     [0, N), then insert the interior integer boundaries in bit-reversed
+//     order so every insert splits an existing interval and lands in the
+//     middle of the boundary order, with committed load present so splits
+//     divide nonempty intervals. This isolates the per-insert cost of
+//     core::OnlineState over IntervalStore::ensure_boundary (indexed,
+//     O(log n) treap insert) against TimePartition::insert_boundary +
+//     WorkAssignment::split_interval driven directly (contiguous, O(n)
+//     vector shifting). The contiguous baseline is capped below the
+//     largest size by default — it is quadratic there, which is the point
+//     of the exercise.
 //
 //  2. Full-PD arrivals/sec on a heavy-tailed lookahead stream: releases
 //     sweep forward while every 16th job's deadline lands 100-300 ticks
 //     ahead, planting boundaries that later short-window arrivals keep
-//     splitting behind. Run with the indexed engine at all sizes and with
-//     the contiguous engine at the smaller sizes as the in-driver
-//     determinism guard (decisions and planned energy compared bitwise).
+//     splitting behind. Run with the engine at all sizes and with the
+//     stateless reference oracle (tests/support/reference_pd) at the
+//     smaller sizes as the in-driver determinism guard (decisions and
+//     planned energy compared bitwise).
 //
 // The driver fails (exit 1) if any determinism check trips or if the
 // indexed per-insert refinement cost fails to grow sub-linearly in the
@@ -29,7 +30,7 @@
 //
 // Env knobs (all optional):
 //   PSS_HORIZON_MAX_INTERVALS  largest refinement size   (default 1048576)
-//   PSS_HORIZON_CONTIG_MAX     contiguous-backend cap    (default 131072)
+//   PSS_HORIZON_CONTIG_MAX     contiguous/oracle cap     (default 131072)
 //   PSS_HORIZON_PD_MAX_JOBS    largest full-PD stream    (default 640000)
 #include <algorithm>
 #include <chrono>
@@ -37,13 +38,17 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common.hpp"
 #include "core/online_state.hpp"
 #include "core/pd_scheduler.hpp"
 #include "model/job.hpp"
+#include "model/time_partition.hpp"
+#include "model/work_assignment.hpp"
 #include "sim/metrics.hpp"
+#include "support/reference_pd.hpp"
 #include "util/random.hpp"
 #include "workload/generators.hpp"
 
@@ -75,37 +80,52 @@ struct RefinementResult {
   bool boundaries_ok = false;
 };
 
+// Guard: the boundary set must be exactly the integers 0..n, and the
+// committed load must have survived every split.
+bool refinement_ok(const std::vector<double>& boundaries, std::uint32_t n,
+                   double total) {
+  if (boundaries.size() != std::size_t(n) + 1) return false;
+  for (std::size_t k = 0; k < boundaries.size(); ++k)
+    if (boundaries[k] != double(k)) return false;
+  return std::abs(total - 1000.0) < 1e-6;
+}
+
 // N must be a power of two; produces exactly N intervals [t, t+1).
 RefinementResult run_refinement(bool indexed, std::uint32_t n, int bits) {
   OnlineState state;
-  state.indexed = indexed;
-  state.ensure_boundary(0.0);
-  state.ensure_boundary(double(n));
-  if (indexed)
+  pss::model::TimePartition partition =
+      pss::model::TimePartition::from_boundaries({0.0, double(n)});
+  pss::model::WorkAssignment assignment(1);
+  if (indexed) {
+    state.ensure_boundary(0.0);
+    state.ensure_boundary(double(n));
     state.store.set_load(state.store.handle_at(0), 0, 1000.0);
-  else
-    state.assignment.set_load(0, 0, 1000.0);
+  } else {
+    assignment.set_load(0, 0, 1000.0);
+  }
 
   const auto start = clock_type::now();
-  for (std::uint32_t i = 1; i < n; ++i)
-    state.ensure_boundary(double(reverse_bits(i, bits)));
+  for (std::uint32_t i = 1; i < n; ++i) {
+    const double t = double(reverse_bits(i, bits));
+    if (indexed) {
+      state.ensure_boundary(t);
+    } else {
+      // Every bisection insert is an interior split.
+      const std::size_t k = partition.insert_boundary(t);
+      assignment.split_interval(
+          k, (t - partition.start(k)) /
+                 (partition.end(k + 1) - partition.start(k)));
+    }
+  }
   RefinementResult result;
   result.seconds =
       std::chrono::duration<double>(clock_type::now() - start).count();
   result.ns_per_insert = result.seconds * 1e9 / double(n - 1);
-
-  // Guard: the boundary set must be exactly the integers 0..n.
-  const auto boundaries = indexed
-                              ? state.store.snapshot_partition().boundaries()
-                              : state.partition.boundaries();
-  result.boundaries_ok = boundaries.size() == std::size_t(n) + 1;
-  for (std::size_t k = 0; result.boundaries_ok && k < boundaries.size(); ++k)
-    result.boundaries_ok = boundaries[k] == double(k);
-  // And the committed load must have survived every split.
-  const double total = indexed ? state.store.total_of(0)
-                               : state.assignment.total_of(0);
   result.boundaries_ok =
-      result.boundaries_ok && std::abs(total - 1000.0) < 1e-6;
+      indexed ? refinement_ok(state.store.snapshot_partition().boundaries(),
+                              n, state.store.total_of(0))
+              : refinement_ok(partition.boundaries(), n,
+                              assignment.total_of(0));
   return result;
 }
 
@@ -139,15 +159,9 @@ struct PdRun {
   std::vector<std::pair<bool, double>> decisions;
 };
 
-PdRun run_pd_stream(const std::vector<pss::model::Job>& jobs, bool indexed,
-                    bool keep_decisions) {
-  // windowed pinned off: this driver's committed baseline measures the
-  // refinement machinery itself; the screen is bench_window_scale's
-  // subject.
-  PdScheduler scheduler(kMachine, {.delta = {},
-                                   .incremental = true,
-                                   .indexed = indexed,
-                                   .windowed = false});
+template <typename Scheduler>
+PdRun run_pd_stream(const std::vector<pss::model::Job>& jobs,
+                    Scheduler scheduler, bool keep_decisions) {
   PdRun run;
   if (keep_decisions) run.decisions.reserve(jobs.size());
   const auto start = clock_type::now();
@@ -163,7 +177,15 @@ PdRun run_pd_stream(const std::vector<pss::model::Job>& jobs, bool indexed,
   run.seconds =
       std::chrono::duration<double>(clock_type::now() - start).count();
   run.arrivals_per_sec = double(jobs.size()) / run.seconds;
-  run.counters = scheduler.counters();
+  if constexpr (std::is_same_v<Scheduler, PdScheduler>) {
+    run.counters = scheduler.counters();
+  } else {
+    // The oracle keeps no counters; derive the reported ones.
+    for (const auto& [id, decision] : scheduler.decisions())
+      (decision.accepted ? run.counters.accepted : run.counters.rejected) += 1;
+    run.counters.interval_splits = scheduler.state().interval_splits;
+    run.counters.max_intervals = scheduler.state().num_intervals();
+  }
   run.planned_energy = scheduler.planned_energy();
   return run;
 }
@@ -193,6 +215,13 @@ int main(int argc, char** argv) {
       "HORIZON-SCALE",
       "online refinement at long horizons: contiguous O(n) vs indexed "
       "O(log n) interval store");
+
+  // windowed pinned off: this driver's committed baseline measures the
+  // refinement machinery itself; the screen is bench_window_scale's
+  // subject.
+  const auto engine = [] {
+    return PdScheduler(kMachine, {.delta = {}, .windowed = false});
+  };
 
   using pss::bench::JsonValue;
   bool determinism_match = true;
@@ -271,21 +300,23 @@ int main(int argc, char** argv) {
 
   for (const int jobs : pd_sizes) {
     const auto stream = lookahead_stream(jobs, kMachine.alpha, kSeed);
-    // Contiguous guard run at the sizes where it is affordable.
+    // Oracle guard run at the sizes where it is affordable.
     const bool with_guard = jobs <= std::max(contig_max, 10000);
-    PdRun contiguous;
-    if (with_guard) contiguous = run_pd_stream(stream, false, true);
-    const PdRun indexed = run_pd_stream(stream, true, with_guard);
-    if (with_guard && (indexed.decisions != contiguous.decisions ||
-                       indexed.planned_energy != contiguous.planned_energy)) {
+    PdRun oracle;
+    if (with_guard)
+      oracle =
+          run_pd_stream(stream, pss::reference::ReferencePd(kMachine), true);
+    const PdRun indexed = run_pd_stream(stream, engine(), with_guard);
+    if (with_guard && (indexed.decisions != oracle.decisions ||
+                       indexed.planned_energy != oracle.planned_energy)) {
       determinism_match = false;
-      std::cerr << "FATAL: indexed and contiguous engines disagree at "
-                << jobs << " jobs — perf numbers void\n";
+      std::cerr << "FATAL: the engine disagrees with the oracle at " << jobs
+                << " jobs — perf numbers void\n";
     }
     for (const bool is_indexed : {false, true}) {
       if (!is_indexed && !with_guard) continue;
-      const PdRun& run = is_indexed ? indexed : contiguous;
-      const char* engine = is_indexed ? "indexed" : "contiguous";
+      const PdRun& run = is_indexed ? indexed : oracle;
+      const char* engine = is_indexed ? "indexed" : "oracle";
       pd_table.add_row({std::string(engine), (long long)jobs,
                         (long long)run.counters.max_intervals,
                         run.arrivals_per_sec, run.latency_us.mean(),

@@ -1,6 +1,7 @@
 // Streaming throughput of the online PD scheduler: arrivals/sec and
-// per-arrival latency for the incremental (curve-cache + lazy-sum) engine
-// against the stateless reference engine, across workload densities.
+// per-arrival latency for the production engine (interval store +
+// curve-cache + lazy-sum water fill) against the stateless reference
+// oracle (tests/support/reference_pd), across workload densities.
 //
 // The workloads are tick-quantized so boundaries are shared between jobs:
 // `jobs_per_tick` controls how many jobs pile onto each atomic interval
@@ -10,23 +11,25 @@
 //
 // Output: the human table, a CSV mirror, and a machine-readable
 // BENCH_throughput.json (format documented in docs/BUILDING.md). The run
-// aborts if the two engines ever disagree on a decision — the perf numbers
-// are only meaningful while the fast path is decision-identical.
+// aborts if the engine ever disagrees with the oracle on a decision — the
+// perf numbers are only meaningful while the engine is decision-identical.
 //
 // Env knobs (all optional):
 //   PSS_THROUGHPUT_JOBS   instance size for the comparison runs (default 10000)
-//   PSS_THROUGHPUT_SCALE  size of the cached-only scaling run (default 100000,
-//                         0 disables)
+//   PSS_THROUGHPUT_SCALE  size of the engine-only scaling run (default
+//                         100000, 0 disables)
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common.hpp"
 #include "core/pd_scheduler.hpp"
 #include "model/instance.hpp"
 #include "sim/metrics.hpp"
+#include "support/reference_pd.hpp"
 #include "util/random.hpp"
 #include "workload/generators.hpp"
 
@@ -77,33 +80,21 @@ struct RunResult {
   std::vector<std::pair<bool, double>> decisions;  // (accepted, speed)
 };
 
-// The three engines whose perf trajectory the JSON tracks: the stateless
-// contiguous reference, the PR-2 curve-cache fast path on the contiguous
-// backend, and the curve cache on the stable-handle interval store.
-// `windowed` is pinned off in all three so the engine labels keep meaning
-// the same machinery across PRs and the committed BENCH_throughput.json
-// stays reproducible; the windowed screen has its own driver
-// (bench_window_scale) measuring the workload shape it exists for.
-struct Engine {
-  const char* name;
-  pss::core::PdOptions options;
-};
-const std::vector<Engine> kEngines = {
-    {"reference",
-     {.delta = {}, .incremental = false, .indexed = false, .windowed = false}},
-    {"cached",
-     {.delta = {}, .incremental = true, .indexed = false, .windowed = false}},
-    {"indexed",
-     {.delta = {}, .incremental = true, .indexed = true, .windowed = false}},
-};
+// The two columns the JSON tracks: the stateless contiguous oracle and the
+// production engine ("indexed": interval store + curve cache). `windowed`
+// is pinned off so the engine label keeps meaning the same machinery
+// across revisions; the windowed screen has its own driver (bench_window_scale)
+// measuring the workload shape it exists for.
+constexpr const char* kOracle = "oracle";
+constexpr const char* kEngine = "indexed";
+const pss::core::PdOptions kEngineOptions = {.delta = {}, .windowed = false};
 
 constexpr std::uint64_t kStreamSeed = 42;
 
+template <typename Scheduler>
 RunResult run_engine(const std::vector<pss::model::Job>& jobs,
-                     pss::model::Machine machine,
-                     pss::core::PdOptions options) {
+                     Scheduler scheduler) {
   using clock = std::chrono::steady_clock;
-  PdScheduler scheduler(machine, options);
   RunResult result;
   result.decisions.reserve(jobs.size());
   const auto start = clock::now();
@@ -117,8 +108,16 @@ RunResult run_engine(const std::vector<pss::model::Job>& jobs,
   }
   result.seconds = std::chrono::duration<double>(clock::now() - start).count();
   result.arrivals_per_sec = double(jobs.size()) / result.seconds;
-  result.counters = scheduler.counters();
   result.planned_energy = scheduler.planned_energy();
+  if constexpr (std::is_same_v<Scheduler, PdScheduler>) {
+    result.counters = scheduler.counters();
+  } else {
+    // The oracle keeps no counters; derive the reported ones.
+    for (const auto& [accepted, speed] : result.decisions)
+      (accepted ? result.counters.accepted : result.counters.rejected) += 1;
+    result.counters.interval_splits = scheduler.state().interval_splits;
+    result.counters.max_intervals = scheduler.state().num_intervals();
+  }
   return result;
 }
 
@@ -127,21 +126,29 @@ int env_int(const char* name, int fallback) {
   return value ? std::atoi(value) : fallback;
 }
 
+template <typename Scheduler>
+void feed_stream(Scheduler scheduler,
+                 const std::vector<pss::model::Job>& stream) {
+  for (const pss::model::Job& job : stream)
+    benchmark::DoNotOptimize(scheduler.on_arrival(job));
+}
+
 void BM_PdArrivals(benchmark::State& state) {
-  const bool incremental = state.range(0) != 0;
-  const auto stream =
-      make_stream(2000, kDensities.back(), 2.0, 7);
+  const bool engine = state.range(0) != 0;
+  const pss::model::Machine machine{4, 2.0};
+  const auto stream = make_stream(2000, kDensities.back(), 2.0, 7);
   for (auto _ : state) {
-    PdScheduler scheduler({4, 2.0}, {.delta = {}, .incremental = incremental});
-    for (const pss::model::Job& job : stream)
-      benchmark::DoNotOptimize(scheduler.on_arrival(job));
+    if (engine)
+      feed_stream(PdScheduler(machine), stream);
+    else
+      feed_stream(pss::reference::ReferencePd(machine), stream);
   }
   state.SetItemsProcessed(state.iterations() * std::int64_t(stream.size()));
 }
 BENCHMARK(BM_PdArrivals)
     ->Arg(0)
     ->Arg(1)
-    ->ArgNames({"cached"})
+    ->ArgNames({"engine"})
     ->Unit(benchmark::kMillisecond);
 
 void add_row(pss::util::Table& table, pss::bench::JsonValue& runs,
@@ -186,7 +193,7 @@ int main(int argc, char** argv) {
 
   pss::bench::print_header(
       "THROUGHPUT",
-      "streaming PD arrivals/sec, incremental engine vs stateless reference");
+      "streaming PD arrivals/sec, production engine vs stateless oracle");
 
   pss::util::Table table({"workload", "jobs", "engine", "arr/s", "mean us",
                           "p99 us", "accepted", "hit %"});
@@ -199,40 +206,33 @@ int main(int argc, char** argv) {
 
   for (const Density& density : kDensities) {
     const auto stream = make_stream(jobs, density, machine.alpha, kStreamSeed);
-    const RunResult reference = run_engine(stream, machine,
-                                           kEngines.front().options);
-    add_row(table, runs, density.name, jobs, kEngines.front().name,
-            reference);
-    for (std::size_t e = 1; e < kEngines.size(); ++e) {
-      const RunResult fast = run_engine(stream, machine, kEngines[e].options);
-      if (fast.decisions != reference.decisions ||
-          fast.planned_energy != reference.planned_energy) {
-        decisions_match = false;
-        std::cerr << "FATAL: engine '" << kEngines[e].name
-                  << "' disagrees with the reference on workload '"
-                  << density.name << "' — perf numbers void\n";
-      }
-      add_row(table, runs, density.name, jobs, kEngines[e].name, fast);
-      const double speedup =
-          fast.arrivals_per_sec / reference.arrivals_per_sec;
-      speedups.set(std::string(kEngines[e].name) + "_" + density.name + "_" +
-                       std::to_string(jobs),
-                   JsonValue::number(speedup));
-      if (density.name == "dense" &&
-          std::string(kEngines[e].name) == "indexed")
-        dense_speedup = speedup;
+    const RunResult oracle =
+        run_engine(stream, pss::reference::ReferencePd(machine));
+    add_row(table, runs, density.name, jobs, kOracle, oracle);
+    const RunResult fast =
+        run_engine(stream, PdScheduler(machine, kEngineOptions));
+    if (fast.decisions != oracle.decisions ||
+        fast.planned_energy != oracle.planned_energy) {
+      decisions_match = false;
+      std::cerr << "FATAL: engine '" << kEngine
+                << "' disagrees with the oracle on workload '" << density.name
+                << "' — perf numbers void\n";
     }
+    add_row(table, runs, density.name, jobs, kEngine, fast);
+    const double speedup = fast.arrivals_per_sec / oracle.arrivals_per_sec;
+    speedups.set(std::string(kEngine) + "_" + density.name + "_" +
+                     std::to_string(jobs),
+                 JsonValue::number(speedup));
+    if (density.name == "dense") dense_speedup = speedup;
   }
 
   if (scale_jobs > 0) {
-    // Fast-path-only scaling runs: the reference path is too slow here.
+    // Engine-only scaling run: the oracle is too slow here.
     const Density& density = kDensities.back();
     const auto stream =
         make_stream(scale_jobs, density, machine.alpha, kStreamSeed);
-    for (std::size_t e = 1; e < kEngines.size(); ++e)
-      add_row(table, runs, density.name + "-scale", scale_jobs,
-              kEngines[e].name,
-              run_engine(stream, machine, kEngines[e].options));
+    add_row(table, runs, density.name + "-scale", scale_jobs, kEngine,
+            run_engine(stream, PdScheduler(machine, kEngineOptions)));
   }
 
   pss::bench::emit(table, "throughput.csv");
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
 
   if (!decisions_match) return 1;
   std::cout.precision(2);
-  std::cout << "dense " << jobs << "-job speedup: indexed is " << std::fixed
-            << dense_speedup << "x the reference engine\n";
+  std::cout << "dense " << jobs << "-job speedup: the engine is "
+            << std::fixed << dense_speedup << "x the oracle\n";
   return pss::bench::run_benchmarks(argc, argv);
 }

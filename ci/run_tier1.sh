@@ -8,7 +8,8 @@
 #
 # Exits nonzero on any configure/build error, any compiler warning, any
 # ctest failure, a test file missing from the registered ctest suite, a
-# perf-smoke engine mismatch, or malformed bench JSON.
+# clock read on a decision path, a perf-smoke engine/oracle mismatch, or
+# malformed bench JSON.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -16,6 +17,17 @@ ROOT="$(pwd)"
 BUILD_DIR="${1:-build-ci}"
 
 rm -rf "${BUILD_DIR}"
+
+# Clock gate: no decision path reads a clock. The PD engine, the convex
+# water fill, the Chen realization and the model layer must stay pure
+# functions of their inputs — a clock read there would make decisions (or
+# anything a checkpoint captures) depend on wall time.
+if grep -rnE 'steady_clock|system_clock|high_resolution_clock|<chrono>' \
+    src/core src/convex src/chen src/model; then
+  echo "FATAL: a clock is read under src/core, src/convex, src/chen or src/model" >&2
+  exit 1
+fi
+echo "clock-gate: OK (no clock reads on the decision path)"
 
 # Tier-1, verbatim (plus the clean-tree dir and the warning gate):
 cmake -B "${BUILD_DIR}" -S . -DPSS_WERROR=ON
@@ -38,7 +50,7 @@ done
 echo "suite-registration: OK ($(ls "${ROOT}"/tests/test_*.cpp | wc -l) test files registered with ctest)"
 
 # Perf-smoke: tiny streaming run of bench_throughput. The driver itself
-# exits nonzero if the cached and reference engines ever disagree.
+# exits nonzero if the engine ever disagrees with the reference oracle.
 PSS_THROUGHPUT_JOBS=400 PSS_THROUGHPUT_SCALE=2000 PSS_RESULT_DIR=bench_results \
   ./bench_throughput --benchmark_filter=NONE_ > /dev/null
 if command -v python3 > /dev/null; then
@@ -86,9 +98,10 @@ fi
 echo "ingest-smoke: OK (${BUILD_DIR}/bench_results/BENCH_ingest.json + replayable op log)"
 
 # Horizon-scale smoke: small refinement + full-PD run of the interval-store
-# driver. The driver exits nonzero if the indexed and contiguous backends
-# ever produce different boundary sets or decisions, or if the indexed
-# per-insert refinement cost fails the sub-linearity check.
+# driver. The driver exits nonzero if either refinement path produces a
+# wrong boundary set, if the engine's decisions ever differ from the
+# stateless reference oracle (tests/support/reference_pd), or if the
+# indexed per-insert refinement cost fails the sub-linearity check.
 PSS_HORIZON_MAX_INTERVALS=16384 PSS_HORIZON_CONTIG_MAX=16384 \
   PSS_HORIZON_PD_MAX_JOBS=10000 PSS_RESULT_DIR=bench_results \
   ./bench_horizon_scale --benchmark_filter=NONE_ > /dev/null
@@ -141,26 +154,6 @@ else
 fi
 echo "soak-smoke: OK (${BUILD_DIR}/bench_results/BENCH_soak.json)"
 
-# Tuner smoke: small run of the adaptive-backend driver under a fresh
-# migration-sampling seed every CI run (the test suite reads the same
-# PSS_TUNER_SEED knob, so the randomized migration points rotate too).
-# The driver exits nonzero if the adaptive engine's decisions diverge
-# from either static twin, if it fails to converge contiguous on the
-# small-partition regime (or to flip indexed on the growing horizon), or
-# if it recovers less than half the measured treap tax.
-: "${PSS_TUNER_SEED:=$(date +%s)}"
-echo "tuner-smoke: PSS_TUNER_SEED=${PSS_TUNER_SEED}"
-PSS_TUNER_SEED="${PSS_TUNER_SEED}" PSS_TUNER_SMALL_TICKS=200 \
-  PSS_TUNER_GROW_MAX_JOBS=16000 PSS_RESULT_DIR=bench_results \
-  ./bench_tuner --benchmark_filter=NONE_ > /dev/null
-if command -v python3 > /dev/null; then
-  python3 -m json.tool bench_results/BENCH_tuner.json > /dev/null
-else
-  grep -q '"determinism_match": true' bench_results/BENCH_tuner.json
-fi
-PSS_TUNER_SEED="${PSS_TUNER_SEED}" ./test_policy_tuner > /dev/null
-echo "tuner-smoke: OK (${BUILD_DIR}/bench_results/BENCH_tuner.json + migration differential reseeded)"
-
 # Recovery smoke: small crash-recovery run of the WAL-checkpoint stack.
 # The driver exits nonzero if any recovered engine diverges from its
 # uninterrupted twin (bitwise), if the torn newest generation is not
@@ -211,19 +204,21 @@ echo "docs-consistency: OK (all emitted BENCH_*.json schemas documented)"
 # recycle handles and rebuild state from byte streams — exactly the code
 # where a stale pointer or uninitialised read hides from a plain build.
 # Build a second tree with ASan+UBSan and run the suites that exercise
-# prefix compaction, checkpoint/restore and the stream engine end to end.
+# prefix compaction, checkpoint/restore and the stream engine end to end,
+# plus the oracle differential suite, which drives every engine position
+# (segment-tree screen, lazy annotations, curve cache) hardest.
 cd "${ROOT}"
 SAN_DIR="${BUILD_DIR}-asan"
 rm -rf "${SAN_DIR}"
 cmake -B "${SAN_DIR}" -S . -DPSS_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug > /dev/null
-cmake --build "${SAN_DIR}" -j --target test_compaction test_stream test_interval_store test_recovery test_policy_tuner
+cmake --build "${SAN_DIR}" -j --target test_compaction test_stream test_interval_store test_recovery test_differential
 cd "${SAN_DIR}"
 UBSAN_OPTIONS=halt_on_error=1 ./test_compaction > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_stream > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_interval_store > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_recovery > /dev/null
-UBSAN_OPTIONS=halt_on_error=1 ./test_policy_tuner > /dev/null
-echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/tuner suites)"
+UBSAN_OPTIONS=halt_on_error=1 ./test_differential > /dev/null
+echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/differential suites)"
 
 # ThreadSanitizer pass over the concurrent surface: the MPSC rings, the
 # producer handles, the shutdown gate and the engine/ingest suites that

@@ -1,66 +1,21 @@
-// Policy tuning, both kinds: let the engine pick its own backend, and
-// explore PD's delta parameter on your own workload.
+// Policy tuning: exploring PD's delta parameter on your own workload.
 //
-// Part 1 — adaptive backend selection (`PdOptions::adaptive`). A serving
-// session rarely knows up front whether its partition will stay small
-// (contiguous vectors win) or grow long (the O(log n) interval store
-// wins). With `adaptive = true` a per-session PolicyTuner watches the
-// live interval count at advance boundaries and migrates the session
-// across backends with hysteresis; decisions stay bitwise identical to
-// any fixed configuration. This demo drives one session through a
-// two-phase stream — dense batched ticks (small partition), then
-// heavy-lookahead arrivals (growing horizon) — and prints the flip the
-// tuner makes, with a fixed contiguous twin alongside as the bitwise
-// witness.
-//
-// Part 2 — the delta sweep. The analysis fixes delta = alpha^(1-alpha)
-// to prove alpha^alpha-competitiveness, but an operator may care about
-// average-case cost: small delta = greedy admission, large delta = picky
-// admission. Only delta = delta* carries the guarantee.
+// The analysis fixes delta = alpha^(1-alpha) to prove alpha^alpha-
+// competitiveness, but an operator may care about average-case cost.
+// This example sweeps delta around the optimum on a workload whose value
+// scale is also swept, printing cost and acceptance so the trade-off is
+// visible: small delta = greedy admission (risk: energy blowup on dense
+// bursts), large delta = picky admission (risk: lost revenue).
 //
 //   $ ./policy_tuning [num_jobs] [num_cpus] [seed]
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
 
-#include "core/pd_scheduler.hpp"
 #include "core/rejection.hpp"
 #include "core/run.hpp"
 #include "sim/metrics.hpp"
-#include "util/random.hpp"
 #include "workload/generators.hpp"
-
-namespace {
-
-// Phase 1: 8 jobs per integer tick on a shared grid — hundreds of live
-// intervals at most. Phase 2: every 4th job plants a deadline far ahead,
-// growing the partition past any threshold.
-std::vector<pss::model::Job> two_phase_stream(int num_jobs,
-                                              const pss::model::Machine& m,
-                                              std::uint64_t seed) {
-  pss::util::Rng rng(seed);
-  std::vector<pss::model::Job> jobs;
-  const int phase1 = num_jobs / 2;
-  for (int i = 0; i < num_jobs; ++i) {
-    pss::model::Job job;
-    job.id = i;
-    if (i < phase1) {
-      job.release = double(i / 8);
-      job.deadline = job.release + 1.0 + double(rng.uniform_int(0, 7));
-    } else {
-      job.release = double(phase1 / 8) + double(i - phase1) * 0.5;
-      job.deadline = job.release + (i % 4 == 0 ? rng.uniform(200.0, 400.0)
-                                               : rng.uniform(0.7, 4.0));
-    }
-    job.work = rng.uniform(0.3, 1.5);
-    job.value = pss::workload::energy_fair_value(job, m.alpha) *
-                rng.uniform(2.0, 6.0);
-    jobs.push_back(job);
-  }
-  return jobs;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace pss;
@@ -70,49 +25,10 @@ int main(int argc, char** argv) {
   const std::uint64_t base_seed =
       argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
   const model::Machine machine{num_cpus, 3.0};
-
-  // ---- Part 1: the tuner picks the backend -------------------------------
-  std::cout << "=== Adaptive backend selection (PdOptions::adaptive) ===\n";
-  core::PdOptions adaptive_options;
-  adaptive_options.adaptive = true;
-  adaptive_options.tuner.indexed_threshold = 256;  // demo-sized threshold
-  core::PdScheduler adaptive(machine, adaptive_options);
-  core::PdScheduler contiguous_twin(
-      machine, {.delta = {}, .incremental = true, .indexed = false});
-
-  const auto stream = two_phase_stream(4096, machine, base_seed);
-  bool identical = true;
-  bool was_indexed = false;
-  double last_release = -1.0;
-  for (const model::Job& job : stream) {
-    if (job.release != last_release) {
-      adaptive.advance_to(job.release);
-      last_release = job.release;
-    }
-    const auto a = adaptive.on_arrival(job);
-    const auto b = contiguous_twin.on_arrival(job);
-    identical = identical && a.accepted == b.accepted && a.speed == b.speed &&
-                a.planned_energy == b.planned_energy;
-    if (adaptive.indexed() != was_indexed) {
-      was_indexed = adaptive.indexed();
-      std::cout << "  op " << std::setw(5) << job.id << " (t = " << std::fixed
-                << std::setprecision(1) << job.release << "): tuner flipped "
-                << (was_indexed ? "contiguous -> indexed"
-                                : "indexed -> contiguous")
-                << " at " << adaptive.live_intervals() << " live intervals\n";
-    }
-  }
-  std::cout << "  flips: " << adaptive.counters().backend_flips
-            << ", evaluations: " << adaptive.counters().tuner_evals
-            << ", final backend: "
-            << (adaptive.indexed() ? "indexed" : "contiguous") << "\n"
-            << "  decisions bitwise identical to the fixed contiguous twin: "
-            << (identical ? "yes" : "NO (bug!)") << "\n";
-
-  // ---- Part 2: the delta sweep -------------------------------------------
   const double delta_star = core::optimal_delta(machine.alpha);
   const int seeds = 10;
-  std::cout << "\n=== PD delta tuning (m = " << num_cpus
+
+  std::cout << "=== PD delta tuning (m = " << num_cpus
             << ", alpha = 3, delta* = " << delta_star << ") ===\n";
 
   for (double value_scale : {0.5, 1.5, 4.0}) {

@@ -109,37 +109,6 @@ std::optional<Placement> water_fill(const model::WorkAssignment& assignment,
                          });
 }
 
-std::optional<Placement> water_fill(const model::IntervalStore& store,
-                                    int num_processors,
-                                    model::IntervalRange window, double work,
-                                    double max_speed,
-                                    model::JobId ignore_job) {
-  PSS_REQUIRE(window.last <= store.num_intervals(), "window exceeds store");
-  PSS_REQUIRE(window.first < window.last, "empty placement window");
-  PSS_REQUIRE(work > 0.0, "work must be positive");
-  PSS_REQUIRE(max_speed > 0.0, "max speed must be positive");
-
-  std::vector<util::PiecewiseLinear> curves;
-  curves.reserve(window.size());
-  for_window(store, window, [&](model::IntervalStore::Handle h, double len) {
-    curves.push_back(chen::insertion_curve(
-        other_loads(store.loads(h), ignore_job), num_processors, len));
-  });
-  const util::PiecewiseLinear total = util::PiecewiseLinear::sum(curves);
-
-  if (std::isfinite(max_speed) && total.eval(max_speed) < work)
-    return std::nullopt;
-  const std::optional<double> level = total.first_at_least(work);
-  PSS_CHECK(level.has_value(),
-            "unbounded-speed window must absorb any workload");
-  PSS_CHECK(!std::isfinite(max_speed) || *level <= max_speed * (1.0 + 1e-9),
-            "water level exceeded the verified cap");
-  return build_placement(work, *level, curves.size(),
-                         [&](std::size_t i) -> const util::PiecewiseLinear& {
-                           return curves[i];
-                         });
-}
-
 std::optional<Placement> water_fill_over_curves(
     std::span<const util::PiecewiseLinear* const> curves, double work,
     double max_speed) {

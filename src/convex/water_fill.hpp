@@ -43,23 +43,13 @@ struct Placement {
     model::IntervalRange window, double work, double max_speed,
     model::JobId ignore_job = -1);
 
-/// Same reference placement over the indexed interval store (the stateless
-/// path of PdOptions{.indexed = true, .incremental = false} and of the
-/// indexed fractional scheduler). Replicates the contiguous overload's
-/// arithmetic operation for operation — per-interval curves built in window
-/// order from the identical load lists, then the materialized curve sum —
-/// so the two backends stay bitwise decision-identical.
-[[nodiscard]] std::optional<Placement> water_fill(
-    const model::IntervalStore& store, int num_processors,
-    model::IntervalRange window, double work, double max_speed,
-    model::JobId ignore_job = -1);
-
 /// Incremental variant of water_fill over pre-built per-interval insertion
-/// curves (one per window interval, e.g. from core::CurveCache). Inverts
-/// Z(s) through a util::LazyLinearSum view instead of materializing the
-/// summed curve, which drops the per-arrival cost from O(N*W) to
-/// O(N log N) for N total knots over W intervals. Decision-identical to
-/// the stateless reference above (see tests/test_differential.cpp).
+/// curves (one per window interval, from core::CurveCache — the placement
+/// the online schedulers run). Inverts Z(s) through a util::LazyLinearSum
+/// view instead of materializing the summed curve, which drops the
+/// per-arrival cost from O(N*W) to O(N log N) for N total knots over W
+/// intervals. Bitwise decision-identical to the stateless overload above,
+/// which the test-only reference oracle runs (tests/test_differential.cpp).
 [[nodiscard]] std::optional<Placement> water_fill_over_curves(
     std::span<const util::PiecewiseLinear* const> curves, double work,
     double max_speed);
@@ -101,8 +91,8 @@ struct UniformFill {
                                      model::IntervalRange window, double speed,
                                      model::JobId ignore_job = -1);
 
-/// Capacity over the indexed interval store; bitwise-identical summation
-/// order to the contiguous overload.
+/// Capacity over the interval store (fractional PD's exact scan);
+/// bitwise-identical summation order to the contiguous overload.
 [[nodiscard]] double window_capacity(const model::IntervalStore& store,
                                      int num_processors,
                                      model::IntervalRange window, double speed,

@@ -1,7 +1,6 @@
 #include "core/pd_scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "chen/interval_schedule.hpp"
@@ -11,7 +10,6 @@
 #include "core/rejection.hpp"
 #include "model/power.hpp"
 #include "util/assert.hpp"
-#include "util/fault.hpp"
 #include "util/math.hpp"
 
 namespace pss::core {
@@ -19,34 +17,13 @@ namespace pss::core {
 PdScheduler::PdScheduler(model::Machine machine, PdOptions options)
     : machine_(machine),
       delta_(options.delta.value_or(optimal_delta(machine.alpha))),
-      record_decisions_(options.record_decisions),
-      adaptive_(options.adaptive),
-      base_options_(options),
-      tuner_(options.tuner) {
+      windowed_(options.windowed),
+      lazy_(options.lazy),
+      record_decisions_(options.record_decisions) {
   PSS_REQUIRE(machine_.num_processors >= 1, "need at least one processor");
   PSS_REQUIRE(machine_.alpha > 1.0, "alpha must exceed 1");
   PSS_REQUIRE(delta_ > 0.0, "delta must be positive");
-  base_options_.windowed = options.windowed && options.indexed;
-  base_options_.lazy = options.lazy && options.indexed;
-  apply_start_flags();
-}
-
-void PdScheduler::apply_start_flags() {
-  incremental_ = base_options_.incremental;
-  // An adaptive session starts on the cheap contiguous backend and lets
-  // the tuner flip it up to the configured cube position; a static one
-  // starts where it was configured.
-  indexed_ = adaptive_ ? false : base_options_.indexed;
-  windowed_ = adaptive_ ? false : base_options_.windowed;
-  lazy_ = adaptive_ ? false : base_options_.lazy;
-  state_.indexed = indexed_;
   cache_.enable_lazy(lazy_);
-}
-
-void PdScheduler::ensure_boundary(double t) {
-  // The cache mirrors structural refinements even on the reference path so
-  // the two modes share one state-transition code path.
-  state_.ensure_boundary(t, &cache_);
 }
 
 void PdScheduler::advance_to(double t, bool compact) {
@@ -58,104 +35,7 @@ void PdScheduler::advance_to(double t, bool compact) {
   // and dirties no cache, so heartbeat ticks cannot grow the partition.
   first_arrival_ = false;
   last_release_ = std::max(last_release_, t);
-  if (compact && indexed_) compact_before(t - util::clock_tol(t));
-  if (adaptive_) maybe_tune();
-}
-
-void PdScheduler::maybe_tune() {
-  if (!tuner_.tick()) return;
-  ++counters_.tuner_evals;
-  const TunerVerdict verdict = tuner_.evaluate(
-      counters_, state_.num_intervals(), indexed_, windowed_, lazy_,
-      base_options_.indexed, base_options_.windowed, base_options_.lazy);
-  if (!verdict.migrate) return;
-  PdOptions target = base_options_;
-  target.indexed = verdict.indexed;
-  target.windowed = verdict.windowed;
-  target.lazy = verdict.lazy;
-  migrate_to(target);
-}
-
-bool PdScheduler::migrate_to(const PdOptions& target) {
-  const bool to_incremental = target.incremental;
-  const bool to_indexed = target.indexed;
-  const bool to_windowed = target.windowed && target.indexed;
-  const bool to_lazy = target.lazy && target.indexed;
-  if (to_incremental == incremental_ && to_indexed == indexed_ &&
-      to_windowed == windowed_ && to_lazy == lazy_)
-    return false;
-
-  // Pending lazy annotations are semantic state. A lazy-keeping migration
-  // carries them verbatim (the checkpoint discipline below); a
-  // lazy-dropping one must land them as real loads first, because the
-  // capture inside state_.migrate_to reads only committed loads.
-  const bool carry_lazy = lazy_ && to_lazy;
-  if (lazy_ && !carry_lazy) {
-    try {
-      // Canary site: tests/test_policy_tuner.cpp arms this with a
-      // swallowed error to model a migration that forgets to materialize
-      // — the differential harness must then report a bitwise mismatch.
-      PSS_FAULT_POINT("migrate.materialize");
-      cache_.lazy_flush(state_.store);
-      counters_.lazy_materializations = cache_.lazy_stats().materializations;
-    } catch (const util::InjectedError&) {
-      // Deliberately swallowed: the injected skipped-materialization bug.
-    }
-  }
-  CurveCache::LazyState carried;
-  if (carry_lazy) carried = cache_.lazy_state();
-
-  const bool need_accepted_rebuild = to_windowed && !windowed_;
-  if (!to_windowed) accepted_ids_.clear();
-
-  // Cold rebuild through the live refinement path — the state_io restore
-  // discipline — under a cache freshly reset into the target mode. The
-  // certification caches (curves, segment tree, grid classification)
-  // restart cold exactly as they do after a checkpoint restore; only
-  // cost, never a decision, depends on them.
-  cache_.reset(0);
-  cache_.enable_lazy(to_lazy);
-  state_.migrate_to(to_indexed, &cache_);
-  incremental_ = to_incremental;
-  indexed_ = to_indexed;
-  windowed_ = to_windowed;
-  lazy_ = to_lazy;
-
-  if (carry_lazy)
-    cache_.restore_lazy_state(carried);
-  else if (to_lazy)
-    seed_lazy_extent();
-  if (need_accepted_rebuild) rebuild_accepted_ids(carried);
-  ++counters_.backend_flips;
-  return true;
-}
-
-void PdScheduler::seed_lazy_extent() {
-  const model::IntervalStore& store = state_.store;
-  for (model::IntervalStore::Handle h = store.front_handle();
-       h != model::IntervalStore::kNoHandle; h = store.next_handle(h)) {
-    if (store.loads(h).empty()) continue;
-    cache_.note_commit_extent(store.front_boundary(), store.back_boundary());
-    return;
-  }
-}
-
-void PdScheduler::rebuild_accepted_ids(const CurveCache::LazyState& carried) {
-  const model::IntervalStore& store = state_.store;
-  for (model::IntervalStore::Handle h = store.front_handle();
-       h != model::IntervalStore::kNoHandle; h = store.next_handle(h)) {
-    const double end = store.end_of(h);
-    for (const model::Load& l : store.loads(h)) {
-      auto [it, fresh] = accepted_ids_.try_emplace(l.job, end);
-      if (!fresh) it->second = std::max(it->second, end);
-    }
-  }
-  // Carried annotations hold accepts whose loads are not materialized yet;
-  // their range end is the accepted window's deadline.
-  for (const auto& p : carried.pending) {
-    auto [it, fresh] = accepted_ids_.try_emplace(p.job, p.t1);
-    if (!fresh) it->second = std::max(it->second, p.t1);
-  }
+  if (compact) compact_before(t - util::clock_tol(t));
 }
 
 void PdScheduler::compact_before(double frontier) {
@@ -199,16 +79,10 @@ void PdScheduler::compact_before(double frontier) {
 
 void PdScheduler::reset() {
   state_ = OnlineState{};
-  // A migrated session reverts to its configured cube position (and an
-  // adaptive one restarts contiguous with a fresh tuner): the next stream
-  // served by this recycled object must not inherit the previous stream's
-  // flip history.
-  tuner_ = PolicyTuner(base_options_.tuner);
-  apply_start_flags();
   // reset() drops all lazy state (pending annotations, extent, grid) but
   // keeps the lazy mode flag — a recycled session must neither replay
   // stale water levels nor silently change engine variant.
-  cache_.reset(0);
+  cache_.reset();
   accepted_ids_.clear();
   decisions_.clear();
   freed_scratch_.clear();
@@ -226,31 +100,22 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
                         last_release_ - util::clock_tol(last_release_)
                   : true,
               "jobs must arrive in nondecreasing release order");
-  // Per-arrival timing feeds the tuner's optional cost model only; with
-  // cost_model off (the default) the clock is never read and the flip
-  // trajectory is a pure function of the op stream.
-  const bool timed = adaptive_ && base_options_.tuner.cost_model;
-  std::chrono::steady_clock::time_point op_start;
-  if (timed) op_start = std::chrono::steady_clock::now();
   last_release_ = std::max(last_release_, job.release);
 
-  ensure_boundary(job.release);
+  state_.ensure_boundary(job.release, &cache_);
   first_arrival_ = false;
-  ensure_boundary(job.deadline);
+  state_.ensure_boundary(job.deadline, &cache_);
 
   const double alpha = machine_.alpha;
   const model::PowerFunction power(alpha);
-  const auto window = indexed_
-                          ? state_.store.range(job.release, job.deadline)
-                          : state_.partition.job_range(job);
+  const auto window = state_.store.range(job.release, job.deadline);
   const double s_reject = rejection_speed(job.value, job.work, alpha, delta_);
 
   // Windowed screen: certified capacity bounds from the segment tree. A
   // certified rejection skips the O(window) scan entirely; anything
   // inconclusive (or a re-arriving accepted id, whose committed loads the
-  // all-loads bounds cannot exclude) falls through to the exact reference
-  // arithmetic below, so the decision stream is bitwise independent of
-  // `windowed`.
+  // all-loads bounds cannot exclude) falls through to the exact water fill
+  // below, so the decision stream is bitwise independent of `windowed`.
   // s_reject > 0 also keeps a zero-value job (s_reject == 0, finite) off
   // the screen, preserving the exact path's behavior for it verbatim.
   bool screened_reject = false;
@@ -268,100 +133,65 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
     ++counters_.window_exact;
   }
 
-  ArrivalDecision decision;
-  bool lazy_done = false;
-  if (!screened_reject && lazy_) {
-    double unit = 0.0;
-    if (s_reject > 0.0 &&
-        cache_.lazy_virgin_uniform(state_.store, job.release, job.deadline,
-                                   window.size(), &unit)) {
-      // Certified closed-form replay: the window is provably `size` empty
-      // intervals of bitwise-equal length, so the exact engines' entire
-      // arithmetic collapses to water_fill_uniform. An accept becomes one
-      // O(log n) range annotation instead of a per-interval commit loop.
-      const convex::UniformFill fill = convex::water_fill_uniform(
-          unit, window.size(), machine_.num_processors, job.work, s_reject);
-      ++counters_.lazy_fast_path;
-      if (fill.accepted) {
-        decision.accepted = true;
-        decision.speed = fill.level;
-        decision.lambda =
-            delta_ * job.work * power.derivative(fill.level);
-        decision.planned_energy =
-            job.work * util::pos_pow(fill.level, alpha - 1.0);
-        cache_.lazy_commit(job.release, job.deadline, job.id, fill.amount,
-                           fill.first_amount);
-        if (windowed_) {
-          double& dl = accepted_ids_[job.id];
-          dl = std::max(dl, job.deadline);
-        }
-      } else {
-        decision.accepted = false;
-        decision.speed = s_reject;
-        decision.lambda = job.value;
-        decision.planned_energy = 0.0;
-      }
-      lazy_done = true;
-    } else {
-      // Exact fallback is about to read the window's loads: expand any
-      // annotation intersecting it so it sees the eager state.
-      cache_.lazy_materialize_range(state_.store, job.release, job.deadline);
+  // Unless the screen certified the rejection, exactly one route decides
+  // and commits: the certified closed-form replay or the exact water fill.
+  std::optional<double> accepted_speed;
+  double unit = 0.0;
+  if (screened_reject) {
+    // Decided above without touching the window.
+  } else if (lazy_ && s_reject > 0.0 &&
+             cache_.lazy_virgin_uniform(state_.store, job.release,
+                                        job.deadline, window.size(), &unit)) {
+    // Certified closed-form replay: the window is provably `size` empty
+    // intervals of bitwise-equal length, so the exact fill's entire
+    // arithmetic collapses to water_fill_uniform. An accept becomes one
+    // O(log n) range annotation instead of a per-interval commit loop.
+    const convex::UniformFill fill = convex::water_fill_uniform(
+        unit, window.size(), machine_.num_processors, job.work, s_reject);
+    ++counters_.lazy_fast_path;
+    if (fill.accepted) {
+      accepted_speed = fill.level;
+      cache_.lazy_commit(job.release, job.deadline, job.id, fill.amount,
+                         fill.first_amount);
     }
-  }
-  std::optional<convex::Placement> placement;
-  if (lazy_done) {
-    placement = std::nullopt;  // unused; decision already made above
-  } else if (screened_reject) {
-    placement = std::nullopt;
-  } else if (indexed_ && incremental_) {
+  } else {
+    // The exact fill is about to read the window's loads: expand any
+    // annotation intersecting it so it sees the eager state.
+    if (lazy_)
+      cache_.lazy_materialize_range(state_.store, job.release, job.deadline);
     const auto curves = cache_.curves_for(
         state_.store, machine_.num_processors, window, job.id);
-    placement = convex::water_fill_over_curves(curves, job.work, s_reject);
-  } else if (indexed_) {
-    placement = convex::water_fill(state_.store, machine_.num_processors,
-                                   window, job.work, s_reject, job.id);
-  } else if (incremental_) {
-    const auto curves =
-        cache_.curves_for(state_.assignment, state_.partition,
-                          machine_.num_processors, window, job.id);
-    placement = convex::water_fill_over_curves(curves, job.work, s_reject);
-  } else {
-    placement = convex::water_fill(state_.assignment, state_.partition,
-                                   machine_.num_processors, window, job.work,
-                                   s_reject, job.id);
-  }
-  if (lazy_done) {
-    // Decision fields were filled by the closed-form replay.
-  } else if (!placement.has_value()) {
-    // Line 12(b): the marginal hit v_j first; reset loads, fix lambda = v.
-    decision.accepted = false;
-    decision.speed = s_reject;
-    decision.lambda = job.value;
-    decision.planned_energy = 0.0;
-  } else {
-    // Line 11(a): full workload placed at uniform own-speed s*.
-    decision.accepted = true;
-    decision.speed = placement->speed;
-    decision.lambda = delta_ * job.work * power.derivative(placement->speed);
-    decision.planned_energy =
-        job.work * util::pos_pow(placement->speed, alpha - 1.0);
-    if (indexed_) {
+    const auto placement =
+        convex::water_fill_over_curves(curves, job.work, s_reject);
+    if (placement.has_value()) {
+      accepted_speed = placement->speed;
       model::IntervalStore::Handle h = state_.store.handle_at(window.first);
       for (std::size_t i = 0; i < window.size(); ++i) {
         state_.store.set_load(h, job.id, placement->amounts[i]);
         if (windowed_) cache_.note_load_changed(h);
         h = state_.store.next_handle(h);
       }
-      if (windowed_) {
-        double& dl = accepted_ids_[job.id];
-        dl = std::max(dl, job.deadline);
-      }
       if (lazy_) cache_.note_commit_extent(job.release, job.deadline);
-    } else {
-      for (std::size_t i = 0; i < window.size(); ++i)
-        state_.assignment.set_load(window.first + i, job.id,
-                                   placement->amounts[i]);
     }
+  }
+
+  ArrivalDecision decision;
+  if (accepted_speed.has_value()) {
+    // Line 11(a): full workload placed at uniform own-speed s*.
+    decision.accepted = true;
+    decision.speed = *accepted_speed;
+    decision.lambda = delta_ * job.work * power.derivative(*accepted_speed);
+    decision.planned_energy =
+        job.work * util::pos_pow(*accepted_speed, alpha - 1.0);
+    if (windowed_) {
+      double& dl = accepted_ids_[job.id];
+      dl = std::max(dl, job.deadline);
+    }
+  } else {
+    // Line 12(b): the marginal hit v_j first; nothing is committed and
+    // lambda = v.
+    decision.speed = s_reject;
+    decision.lambda = job.value;
   }
   ++counters_.arrivals;
   (decision.accepted ? counters_.accepted : counters_.rejected) += 1;
@@ -375,11 +205,6 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
       std::max(counters_.max_intervals, state_.num_intervals());
   counters_.max_window = std::max(counters_.max_window, window.size());
   if (record_decisions_) decisions_.push_back({job.id, decision});
-  if (timed)
-    tuner_.observe_cost(
-        indexed_, std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - op_start)
-                      .count());
   return decision;
 }
 
@@ -392,30 +217,19 @@ void PdScheduler::flush_lazy() const {
 }
 
 double PdScheduler::planned_energy() const {
-  // Indexed backend: materialize once and reuse the contiguous evaluator —
-  // cold path, and the snapshot loads are bitwise-identical to the
-  // contiguous backend's, so the energy is too.
-  if (indexed_) {
-    flush_lazy();
-    return convex::assignment_energy(
-        state_.store.snapshot_assignment(), state_.store.snapshot_partition(),
-        machine_.num_processors, machine_.alpha, retired_energy_);
-  }
-  // retired_energy_ can be nonzero here too: a session compacted on the
-  // indexed backend may have since migrated to the contiguous one.
-  return convex::assignment_energy(state_.assignment, state_.partition,
-                                   machine_.num_processors, machine_.alpha,
-                                   retired_energy_);
+  // Cold path: materialize once and reuse the contiguous evaluator, whose
+  // left-to-right summation the retired-energy accumulator continues.
+  flush_lazy();
+  return convex::assignment_energy(
+      state_.store.snapshot_assignment(), state_.store.snapshot_partition(),
+      machine_.num_processors, machine_.alpha, retired_energy_);
 }
 
 model::Schedule PdScheduler::final_schedule() const {
   flush_lazy();
-  model::Schedule schedule =
-      indexed_ ? chen::realize_assignment(state_.store.snapshot_assignment(),
-                                          state_.store.snapshot_partition(),
-                                          machine_.num_processors)
-               : chen::realize_assignment(state_.assignment, state_.partition,
-                                          machine_.num_processors);
+  model::Schedule schedule = chen::realize_assignment(
+      state_.store.snapshot_assignment(), state_.store.snapshot_partition(),
+      machine_.num_processors);
   for (const auto& [id, decision] : decisions_)
     if (!decision.accepted) schedule.mark_rejected(id);
   return schedule;

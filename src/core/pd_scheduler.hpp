@@ -26,7 +26,6 @@
 
 #include "core/curve_cache.hpp"
 #include "core/online_state.hpp"
-#include "core/policy_tuner.hpp"
 #include "model/instance.hpp"
 #include "model/schedule.hpp"
 #include "model/time_partition.hpp"
@@ -48,62 +47,34 @@ namespace pss::core {
 struct PdOptions {
   /// PD's parameter; nullopt selects the paper-optimal alpha^(1-alpha).
   std::optional<double> delta;
-  /// Place arrivals through the per-interval insertion-curve cache and the
-  /// lazy-sum water filling (the fast path). false recomputes every curve
-  /// from scratch per arrival — the stateless reference implementation.
-  /// Both paths commit bit-identical decisions (tests/test_differential).
-  bool incremental = true;
-  /// Keep the online state in the stable-handle model::IntervalStore, so
-  /// every Section-3 refinement (boundary insert, split, append, prepend)
-  /// is O(log n) instead of the contiguous representation's O(n) vector
-  /// shifts — the difference between flat and linearly-degrading
-  /// per-arrival cost at million-interval horizons (bench_horizon_scale).
-  /// false selects the contiguous TimePartition + WorkAssignment backend,
-  /// retained as the reference the differential suite compares against.
-  /// All four {incremental} x {indexed} combinations commit bit-identical
-  /// decisions.
-  bool indexed = true;
   /// Screen wide-window arrivals through the convex::CurveSegmentTree
   /// capacity bounds before touching the window: a rejection the bounds
   /// certify costs O(log n · log knots) instead of O(window), and an
-  /// inconclusive screen falls back to the exact linear scan — so every
-  /// decision stays bitwise identical to the windowed=false engine (the
-  /// extended differential matrix proves {incremental} x {indexed} x
-  /// {windowed} pairwise identical). Only meaningful on the indexed
-  /// backend; with indexed=false the option is inert. Accepted arrivals
-  /// are Ω(window) regardless (they commit a load into every window
-  /// interval), so the screen targets the rejection path — the case where
-  /// a heavy-lookahead arrival previously paid O(window) for nothing.
+  /// inconclusive screen falls back to the exact water fill — so every
+  /// decision stays bitwise identical to the windowed=false engine and to
+  /// the test-only reference oracle (tests/test_differential.cpp).
+  /// Accepted arrivals are Ω(window) regardless (they commit a load into
+  /// every window interval), so the screen targets the rejection path —
+  /// the case where a heavy-lookahead arrival would pay O(window) for
+  /// nothing.
   bool windowed = true;
-  /// Lazy water-level accepts (indexed backend only; inert otherwise).
-  /// An arrival whose window is a certified *virgin uniform* range — all
-  /// interval lengths bitwise equal to the detected power-of-two grid
-  /// unit, no committed or pending load — is decided by the O(log n)
-  /// closed-form replay convex::water_fill_uniform and, if accepted,
-  /// recorded as a single range annotation in the CurveCache instead of
-  /// one load write per window interval. Annotations materialize into
-  /// ordinary loads on first touch (split, exact fallback, snapshot), so
-  /// every observable decision/load/energy is bitwise identical to the
-  /// eager engine — lazy=false is retained as the bitwise reference, and
-  /// the differential cube {incremental}x{indexed}x{windowed}x{lazy}
-  /// proves it. This is what makes accept-heavy wide-window streams
-  /// sub-linear per accept (bench_accept_scale / BENCH_accept.json).
+  /// Lazy water-level accepts. An arrival whose window is a certified
+  /// *virgin uniform* range — all interval lengths bitwise equal to the
+  /// detected power-of-two grid unit, no committed or pending load — is
+  /// decided by the O(log n) closed-form replay convex::water_fill_uniform
+  /// and, if accepted, recorded as a single range annotation in the
+  /// CurveCache instead of one load write per window interval. Annotations
+  /// materialize into ordinary loads on first touch (split, exact
+  /// fallback, snapshot), so every observable decision/load/energy is
+  /// bitwise identical to the eager engine (lazy=false) and to the oracle.
+  /// This is what makes accept-heavy wide-window streams sub-linear per
+  /// accept (bench_accept_scale / BENCH_accept.json).
   bool lazy = true;
   /// Keep the per-arrival decision log behind decisions() (and the
   /// rejected marks of final_schedule()). The log grows one entry per
   /// arrival forever, so indefinitely-running serving layers turn it off —
   /// it is the one piece of state horizon compaction cannot bound.
   bool record_decisions = true;
-  /// Adaptive backend selection: the session starts on the cheap
-  /// contiguous/unscreened backend regardless of the flags above and a
-  /// PolicyTuner flips it (up to the configured cube position) through
-  /// live migration once the observed workload warrants the heavier
-  /// machinery — see core/policy_tuner.hpp. Every flip preserves bitwise
-  /// decisions (tests/test_policy_tuner.cpp), so `adaptive` changes only
-  /// per-arrival cost, never an outcome.
-  bool adaptive = false;
-  /// Thresholds/hysteresis of that tuner (ignored unless adaptive).
-  TunerOptions tuner = {};
 };
 
 /// Lightweight instrumentation, filled as arrivals are processed.
@@ -124,8 +95,6 @@ struct PdCounters {
   long long compacted_intervals = 0;   // intervals retired behind the frontier
   std::size_t max_intervals = 0;     // partition size high-water mark
   std::size_t max_window = 0;        // largest availability window seen
-  long long backend_flips = 0;  // live migrations (tuner or migrate_to)
-  long long tuner_evals = 0;    // PolicyTuner evaluations at advances
 
   /// Aggregation across independent schedulers (shards, sweeps): counts
   /// add, high-water marks take the max. Implemented over the reflection
@@ -182,10 +151,6 @@ inline constexpr PdCounterField kPdCounterFields[] = {
      &PdCounters::max_intervals},
     {"max_window", PdCounterField::Kind::kMax, nullptr,
      &PdCounters::max_window},
-    {"backend_flips", PdCounterField::Kind::kAdd, &PdCounters::backend_flips,
-     nullptr},
-    {"tuner_evals", PdCounterField::Kind::kAdd, &PdCounters::tuner_evals,
-     nullptr},
 };
 
 inline PdCounters& PdCounters::operator+=(const PdCounters& other) {
@@ -212,6 +177,14 @@ struct ArrivalDecision {
 /// Incremental online scheduler. Jobs must arrive in nondecreasing release
 /// order; the final schedule is the Chen et al. realization of the committed
 /// assignment (Section 3).
+///
+/// One engine: the online state lives in the stable-handle
+/// model::IntervalStore (O(log n) Section-3 refinements), every arrival is
+/// placed through the CurveCache insertion curves and the lazy-sum water
+/// fill, and the two certified fast paths (PdOptions::windowed / ::lazy)
+/// only ever skip work whose outcome they can prove. The stateless
+/// contiguous reference lives in tests/support/reference_pd as the
+/// test-only oracle every differential suite compares against.
 class PdScheduler {
  public:
   PdScheduler(model::Machine machine, PdOptions options = {});
@@ -222,9 +195,8 @@ class PdScheduler {
   /// Advances the release-order monotonicity clock to t without an arrival
   /// — structure-free: no boundary is inserted and no cache is dirtied, so
   /// a periodic heartbeat leaves the partition exactly as arrivals built
-  /// it. With compact = true (indexed backend; inert otherwise, like
-  /// windowed/lazy), additionally retires every interval ending at or
-  /// before the frontier t - util::clock_tol(t): the retired prefix's
+  /// it. With compact = true, additionally retires every interval ending
+  /// at or before the frontier t - util::clock_tol(t): the retired prefix's
   /// energy moves into retired_energy(), its store/cache/tree state is
   /// reclaimed, and — because any future arrival has release within
   /// clock_tol of t or later — every subsequent decision is bitwise
@@ -232,51 +204,27 @@ class PdScheduler {
   void advance_to(double t, bool compact = false);
 
   /// Returns the scheduler to its freshly-constructed state (machine,
-  /// delta and the *configured* mode are kept — a session that migrated
-  /// backends mid-run reverts to its constructor-time cube position, and
-  /// an adaptive session restarts contiguous with a fresh tuner). The
-  /// session-reuse entry point for the stream engine: a pooled scheduler
-  /// object is reset and handed to the next stream instead of being
-  /// destroyed and reallocated.
+  /// delta and the windowed/lazy mode are kept). The session-reuse entry
+  /// point for the stream engine: a pooled scheduler object is reset and
+  /// handed to the next stream instead of being destroyed and reallocated.
   void reset();
 
-  /// Live backend migration: converts the session to the cube position in
-  /// `target` (only incremental/indexed/windowed/lazy are read; windowed
-  /// and lazy are forced off without indexed, as in the constructor). The
-  /// semantic state — boundaries, committed loads, pending lazy
-  /// annotations, accepted ids, decisions, clock, retired energy — is
-  /// carried; everything derived (curve cache, segment tree, grid
-  /// classification) is rebuilt cold through the state_io restore
-  /// discipline, so every subsequent decision is bitwise identical to the
-  /// never-migrated twin (tests/test_policy_tuner.cpp proves this at
-  /// randomized migration points across the whole cube). Returns false if
-  /// the target equals the live mode (no-op).
-  bool migrate_to(const PdOptions& target);
-
-  /// The committed partition / assignment. On the contiguous backend these
-  /// are references to the live state; on the indexed backend (the
-  /// default) each call materializes a fresh snapshot into a member buffer
-  /// — O(n), meant for inspection and end-of-run consumers, not for the
-  /// arrival hot path. A returned reference is invalidated by the next
-  /// call to the same accessor.
+  /// The committed partition / assignment, materialized from the interval
+  /// store into a member buffer on every call — O(n), meant for inspection
+  /// and end-of-run consumers, not for the arrival hot path. A returned
+  /// reference is invalidated by the next call to the same accessor.
   [[nodiscard]] const model::TimePartition& partition() const {
-    if (!indexed_) return state_.partition;
     partition_snapshot_ = state_.store.snapshot_partition();
     return partition_snapshot_;
   }
   [[nodiscard]] const model::WorkAssignment& assignment() const {
-    if (!indexed_) return state_.assignment;
     flush_lazy();  // pending annotations must land before a load snapshot
     assignment_snapshot_ = state_.store.snapshot_assignment();
     return assignment_snapshot_;
   }
   [[nodiscard]] double delta() const { return delta_; }
-  [[nodiscard]] bool incremental() const { return incremental_; }
-  [[nodiscard]] bool indexed() const { return indexed_; }
   [[nodiscard]] bool windowed() const { return windowed_; }
   [[nodiscard]] bool lazy() const { return lazy_; }
-  [[nodiscard]] bool adaptive() const { return adaptive_; }
-  [[nodiscard]] const PolicyTuner& tuner() const { return tuner_; }
 
   /// Total energy of the committed plan (sum of interval P_k), including
   /// the energy of intervals retired by compaction. Bitwise identical to
@@ -291,11 +239,11 @@ class PdScheduler {
   [[nodiscard]] std::size_t live_intervals() const {
     return state_.num_intervals();
   }
-  /// Slab footprint proxy: handle-space of the indexed store (0 on the
-  /// contiguous backend). Stays bounded under steady-state compaction
-  /// because freed handles are recycled.
+  /// Slab footprint proxy: handle-space of the interval store. Stays
+  /// bounded under steady-state compaction because freed handles are
+  /// recycled.
   [[nodiscard]] std::size_t handle_space() const {
-    return indexed_ ? state_.store.handle_space() : 0;
+    return state_.store.handle_space();
   }
 
   /// Concrete migration schedule realizing the committed plan.
@@ -313,24 +261,6 @@ class PdScheduler {
   friend void io::save_scheduler(std::ostream&, const core::PdScheduler&);
   friend void io::load_scheduler(std::istream&, core::PdScheduler&);
 
-  void ensure_boundary(double t);
-  /// Resets the live flags to the configured cube position (contiguous
-  /// start when adaptive) and aligns state_/cache_ with them.
-  void apply_start_flags();
-  /// Advance-boundary tuner hook: evaluates the PolicyTuner (respecting
-  /// its eval_period) and migrates when it returns a flip verdict.
-  void maybe_tune();
-  /// Rebuilds the windowed screen's accepted-id map from the live loads
-  /// (plus carried lazy annotations) after a migration enabled the screen
-  /// mid-session. Deadlines are the last load-bearing interval ends — a
-  /// conservative superset of what the never-windowed history recorded,
-  /// which keeps the screen sound (a job with committed window load can
-  /// never pass it) without changing any decision.
-  void rebuild_accepted_ids(const CurveCache::LazyState& carried);
-  /// After enabling lazy mid-session: spans the whole live range with the
-  /// commit extent when any committed load exists, so the virgin-window
-  /// certificate stays sound (it can only miss fast paths, never misfire).
-  void seed_lazy_extent();
   /// Retires every interval ending at or before `frontier`: accumulates
   /// their energy, reclaims store/cache/tree state, and drops accepted-id
   /// records whose whole window is behind the frontier (their loads cannot
@@ -344,16 +274,9 @@ class PdScheduler {
 
   model::Machine machine_;
   double delta_;
-  // Live cube position — migrate_to moves these at runtime; the configured
-  // position lives in base_options_ (the ceiling adaptive tuning honours).
-  bool incremental_;
-  bool indexed_;
   bool windowed_;
   bool lazy_;
   bool record_decisions_;
-  bool adaptive_;
-  PdOptions base_options_;  // constructor-time config, flags normalized
-  PolicyTuner tuner_;
   OnlineState state_;
   CurveCache cache_;
   // Job ids this scheduler has accepted, with the latest deadline seen
@@ -363,8 +286,8 @@ class PdScheduler {
   // the exact re-placement path. Compaction erases records whose deadline
   // is behind the frontier, bounding the map by the live window.
   std::unordered_map<model::JobId, double> accepted_ids_;
-  // Snapshot buffers backing the partition()/assignment() accessors on the
-  // indexed backend (cold path; see the accessor comment).
+  // Snapshot buffers backing the partition()/assignment() accessors (cold
+  // path; see the accessor comment).
   mutable model::TimePartition partition_snapshot_;
   mutable model::WorkAssignment assignment_snapshot_;
   std::vector<std::pair<model::JobId, ArrivalDecision>> decisions_;

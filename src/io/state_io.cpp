@@ -196,8 +196,6 @@ void save_scheduler(std::ostream& os, const core::PdScheduler& s) {
   write_i64(os, s.machine_.num_processors);
   write_f64(os, s.machine_.alpha);
   write_f64(os, s.delta_);
-  write_bool(os, s.incremental_);
-  write_bool(os, s.indexed_);
   write_bool(os, s.windowed_);
   write_bool(os, s.lazy_);
   write_bool(os, s.record_decisions_);
@@ -212,28 +210,19 @@ void save_scheduler(std::ostream& os, const core::PdScheduler& s) {
   // same order. Load vectors keep their in-interval order (commit order) —
   // interval_energy sums them left to right, so order is part of the
   // bitwise contract.
-  if (s.indexed_) {
-    const model::IntervalStore& store = s.state_.store;
-    const std::size_t nb = store.num_boundaries();
-    write_u64(os, nb);
-    if (nb > 0) {
-      write_f64(os, store.front_boundary());
-      for (auto h = store.front_handle(); h != model::IntervalStore::kNoHandle;
-           h = store.next_handle(h))
-        write_f64(os, store.end_of(h));
-    }
-    write_u64(os, store.num_intervals());
+  const model::IntervalStore& store = s.state_.store;
+  const std::size_t nb = store.num_boundaries();
+  write_u64(os, nb);
+  if (nb > 0) {
+    write_f64(os, store.front_boundary());
     for (auto h = store.front_handle(); h != model::IntervalStore::kNoHandle;
          h = store.next_handle(h))
-      save_loads(os, store.loads(h));
-  } else {
-    const auto& boundaries = s.state_.partition.boundaries();
-    write_u64(os, boundaries.size());
-    for (double b : boundaries) write_f64(os, b);
-    write_u64(os, s.state_.assignment.num_intervals());
-    for (std::size_t k = 0; k < s.state_.assignment.num_intervals(); ++k)
-      save_loads(os, s.state_.assignment.loads(k));
+      write_f64(os, store.end_of(h));
   }
+  write_u64(os, store.num_intervals());
+  for (auto h = store.front_handle(); h != model::IntervalStore::kNoHandle;
+       h = store.next_handle(h))
+    save_loads(os, store.loads(h));
 
   // Accepted-id records in ascending id order (deterministic bytes).
   std::vector<std::pair<model::JobId, double>> accepted(
@@ -256,22 +245,6 @@ void save_scheduler(std::ostream& os, const core::PdScheduler& s) {
 
   save_lazy(os, s.cache_.lazy_state());
   save_counters(os, s.counters_);
-
-  // Adaptive-tuner block (PR 10): the mode flags written above are *live*
-  // state now — a session may have migrated backends mid-run — and the
-  // tuner trajectory rides along so a restore resumes the same policy.
-  write_bool(os, s.adaptive_);
-  const core::TunerState& ts = s.tuner_.state();
-  write_f64(os, ts.threshold);
-  write_i64(os, ts.advances);
-  write_bool(os, ts.window_dropped);
-  write_bool(os, ts.lazy_dropped);
-  write_i64(os, ts.mark_arrivals);
-  write_i64(os, ts.mark_window_prunes);
-  write_i64(os, ts.mark_window_exact);
-  write_i64(os, ts.mark_lazy_fast);
-  write_f64(os, ts.ewma_contig);
-  write_f64(os, ts.ewma_indexed);
 }
 
 void load_scheduler(std::istream& is, core::PdScheduler& s) {
@@ -279,26 +252,12 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
               "checkpoint machine mismatch");
   PSS_REQUIRE(read_f64(is) == s.machine_.alpha, "checkpoint alpha mismatch");
   PSS_REQUIRE(read_f64(is) == s.delta_, "checkpoint delta mismatch");
-  const bool incremental = read_bool(is);
-  const bool indexed = read_bool(is);
-  const bool windowed = read_bool(is);
-  const bool lazy = read_bool(is);
+  PSS_REQUIRE(read_bool(is) == s.windowed_, "checkpoint windowed mismatch");
+  PSS_REQUIRE(read_bool(is) == s.lazy_, "checkpoint lazy mismatch");
   PSS_REQUIRE(read_bool(is) == s.record_decisions_,
               "checkpoint record_decisions mismatch");
 
   s.reset();
-  // The mode flags are live, migratable state (PR 10): adopt the blob's
-  // cube position instead of requiring it, so a mid-flip session restores
-  // onto the backend it was checkpointed on even when the target's
-  // configured position differs (e.g. restore into an adaptive-off
-  // engine). Machine/delta/record_decisions above stay strict — those
-  // change what the replayed bytes *mean*.
-  s.incremental_ = incremental;
-  s.indexed_ = indexed;
-  s.windowed_ = windowed && indexed;
-  s.lazy_ = lazy && indexed;
-  s.state_.indexed = s.indexed_;
-  s.cache_.enable_lazy(s.lazy_);
   s.first_arrival_ = read_bool(is);
   s.last_release_ = read_f64(is);
   s.retired_energy_ = read_f64(is);
@@ -320,24 +279,13 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
   const std::uint64_t ni = read_count(is);
   PSS_REQUIRE(ni == s.state_.num_intervals(),
               "corrupt checkpoint: interval count");
-  if (s.indexed_) {
-    auto h = s.state_.store.front_handle();
-    for (std::uint64_t k = 0; k < ni; ++k, h = s.state_.store.next_handle(h)) {
-      const std::uint64_t nl = read_count(is);
-      for (std::uint64_t j = 0; j < nl; ++j) {
-        const auto job = static_cast<model::JobId>(read_i64(is));
-        const double amount = read_f64(is);
-        s.state_.store.set_load(h, job, amount);
-      }
-    }
-  } else {
-    for (std::uint64_t k = 0; k < ni; ++k) {
-      const std::uint64_t nl = read_count(is);
-      for (std::uint64_t j = 0; j < nl; ++j) {
-        const auto job = static_cast<model::JobId>(read_i64(is));
-        const double amount = read_f64(is);
-        s.state_.assignment.set_load(static_cast<std::size_t>(k), job, amount);
-      }
+  auto h = s.state_.store.front_handle();
+  for (std::uint64_t k = 0; k < ni; ++k, h = s.state_.store.next_handle(h)) {
+    const std::uint64_t nl = read_count(is);
+    for (std::uint64_t j = 0; j < nl; ++j) {
+      const auto job = static_cast<model::JobId>(read_i64(is));
+      const double amount = read_f64(is);
+      s.state_.store.set_load(h, job, amount);
     }
   }
   s.state_.interval_splits = splits;
@@ -362,24 +310,6 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
   // replay above accumulated with the live run's exact lazy image.
   s.cache_.restore_lazy_state(load_lazy(is));
   load_counters(is, s.counters_);
-
-  // Blob's adaptive flag is informational: whether tuning *continues* is
-  // the restore target's own configuration (an adaptive-off target keeps
-  // the blob's backend and never flips again). The trajectory itself is
-  // restored so an adaptive-on target resumes the same policy.
-  (void)read_bool(is);
-  core::TunerState ts;
-  ts.threshold = read_f64(is);
-  ts.advances = read_i64(is);
-  ts.window_dropped = read_bool(is);
-  ts.lazy_dropped = read_bool(is);
-  ts.mark_arrivals = read_i64(is);
-  ts.mark_window_prunes = read_i64(is);
-  ts.mark_window_exact = read_i64(is);
-  ts.mark_lazy_fast = read_i64(is);
-  ts.ewma_contig = read_f64(is);
-  ts.ewma_indexed = read_f64(is);
-  s.tuner_.mutable_state() = ts;
 }
 
 }  // namespace pss::io

@@ -1,10 +1,11 @@
-// Stable-handle interval store: the indexed backend for the online time
-// partition refinement of Section 3 ("Concerning the Time Partitioning").
+// Stable-handle interval store: the online state of the PD schedulers for
+// the time partition refinement of Section 3 ("Concerning the Time
+// Partitioning").
 //
 // The contiguous representation (TimePartition + WorkAssignment) pays O(n)
 // per refinement: inserting a boundary shifts the tail of a sorted
 // std::vector<double>, and the matching split/prepend shifts a
-// vector-of-vectors of loads plus its epoch array. This store keeps the
+// vector-of-vectors of loads. This store keeps the
 // same state — interval boundaries, per-interval committed loads, and the
 // per-interval epoch counters the curve cache validates against — in one
 // structure indexed by a deterministic order-statistics treap
@@ -24,10 +25,10 @@
 //     representation. handle_at / position_of translate in O(log n).
 //
 // The arithmetic of a split (the proportional load division) replicates
-// WorkAssignment::split_interval operation for operation, so a scheduler
-// running on this store commits bitwise-identical decisions to one running
-// on the contiguous pair (tests/test_differential.cpp proves it end to
-// end).
+// WorkAssignment::split_interval operation for operation, so the schedulers
+// running on this store commit bitwise-identical decisions to the test-only
+// reference oracle on the contiguous pair (tests/test_differential.cpp
+// proves it end to end).
 #pragma once
 
 #include <cstddef>

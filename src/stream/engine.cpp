@@ -251,15 +251,15 @@ void StreamEngine::stop() {
 // ------------------------------------------------------ checkpoint/restore
 
 namespace {
-// "PSSCKPT4" as a little-endian u64 — version byte last. (v2 added the
+// "PSSCKPT5" as a little-endian u64 — version byte last. (v2 added the
 // admission/late-reject tallies to the per-shard stats block; v3 added the
-// WAL checkpoint-mark stamp for crash recovery; v4 added the adaptive
-// config byte plus the per-session tuner block and the two tuner counters
-// in the counter table.)
-constexpr std::uint64_t kCheckpointMagic = 0x3454504B43535350ull;
-// "PSSSHRD2": a single-shard image (checkpoint_shard / restore_shard),
-// version-bumped in lockstep with the v4 session-blob format.
-constexpr std::uint64_t kShardMagic = 0x3244524853535350ull;
+// WAL checkpoint-mark stamp for crash recovery; v4 added a backend-tuner
+// config byte and session block; v5 dropped them again together with the
+// per-session backend selector bytes — one engine, no backend switching.)
+constexpr std::uint64_t kCheckpointMagic = 0x3554504B43535350ull;
+// "PSSSHRD3": a single-shard image (checkpoint_shard / restore_shard),
+// version-bumped in lockstep with the v5 session-blob format.
+constexpr std::uint64_t kShardMagic = 0x3344524853535350ull;
 }  // namespace
 
 bool StreamEngine::quiesce_producers() {
@@ -286,12 +286,9 @@ void StreamEngine::write_config(std::ostream& os) const {
   io::write_f64(os, options_.machine.alpha);
   io::write_u8(os, options_.scheduler.delta.has_value() ? 1 : 0);
   io::write_f64(os, options_.scheduler.delta.value_or(0.0));
-  io::write_u8(os, options_.scheduler.incremental ? 1 : 0);
-  io::write_u8(os, options_.scheduler.indexed ? 1 : 0);
   io::write_u8(os, options_.scheduler.windowed ? 1 : 0);
   io::write_u8(os, options_.scheduler.lazy ? 1 : 0);
   io::write_u8(os, options_.record_decisions ? 1 : 0);
-  io::write_u8(os, options_.scheduler.adaptive ? 1 : 0);
 }
 
 void StreamEngine::check_config(std::istream& is) const {
@@ -305,17 +302,10 @@ void StreamEngine::check_config(std::istream& is) const {
   PSS_REQUIRE(has_delta == options_.scheduler.delta.has_value() &&
                   delta == options_.scheduler.delta.value_or(0.0),
               "checkpoint delta mismatch");
-  PSS_REQUIRE((io::read_u8(is) != 0) == options_.scheduler.incremental &&
-                  (io::read_u8(is) != 0) == options_.scheduler.indexed &&
-                  (io::read_u8(is) != 0) == options_.scheduler.windowed &&
+  PSS_REQUIRE((io::read_u8(is) != 0) == options_.scheduler.windowed &&
                   (io::read_u8(is) != 0) == options_.scheduler.lazy &&
                   (io::read_u8(is) != 0) == options_.record_decisions,
               "checkpoint mode flags mismatch");
-  // Adaptive is deliberately not enforced: per-session blobs carry their
-  // live backend and tuner trajectory, so a checkpoint taken under an
-  // adaptive engine restores into an adaptive-off engine (sessions keep
-  // their checkpointed backends, tuning just stops) and vice versa.
-  (void)io::read_u8(is);
 }
 
 void StreamEngine::write_shard_state(std::ostream& os, Shard& shard) const {

@@ -1,8 +1,7 @@
 // Horizon compaction and checkpoint/restore (the flat-memory serving
 // contract):
 //   * compacted vs uncompacted twins commit bitwise-identical decisions
-//     and energies across the full {incremental}x{indexed}x{windowed}x
-//     {lazy} differential cube;
+//     and energies in every {windowed}x{lazy} engine position;
 //   * a checkpoint written mid-soak (with retired energy, accepted-id
 //     records and pending lazy annotations in flight) restores into a
 //     fresh scheduler that replays the remaining traffic bitwise
@@ -24,6 +23,7 @@
 
 #include "core/pd_scheduler.hpp"
 #include "io/state_io.hpp"
+#include "stream/engine.hpp"
 #include "model/job.hpp"
 #include "util/math.hpp"
 #include "util/random.hpp"
@@ -39,20 +39,19 @@ using model::Machine;
 
 const Machine kMachine{2, 2.5};
 
-PdOptions cube_options(int mask) {
+// The {windowed} x {lazy} square of engine positions.
+constexpr int kPositions = 4;
+
+PdOptions position_options(int mask) {
   PdOptions o;
-  o.incremental = (mask & 1) != 0;
-  o.indexed = (mask & 2) != 0;
-  o.windowed = (mask & 4) != 0;
-  o.lazy = (mask & 8) != 0;
+  o.windowed = (mask & 1) != 0;
+  o.lazy = (mask & 2) != 0;
   return o;
 }
 
-std::string cube_name(int mask) {
-  return std::string("incremental=") + ((mask & 1) ? "1" : "0") +
-         " indexed=" + ((mask & 2) ? "1" : "0") +
-         " windowed=" + ((mask & 4) ? "1" : "0") +
-         " lazy=" + ((mask & 8) ? "1" : "0");
+std::string position_name(int mask) {
+  return std::string("windowed=") + ((mask & 1) ? "1" : "0") +
+         " lazy=" + ((mask & 2) ? "1" : "0");
 }
 
 // Steady-state serving traffic: every tick carries a frontier job on the
@@ -121,23 +120,17 @@ void run_twins(PdScheduler& a, PdScheduler& b, const std::vector<Job>& jobs,
 TEST(Compaction, DifferentialCubeCompactedVsUncompacted) {
   const int ticks = 120;
   const auto jobs = steady_workload(ticks, 2026);
-  for (int mask = 0; mask < 16; ++mask) {
-    SCOPED_TRACE(cube_name(mask));
-    PdScheduler compacted(kMachine, cube_options(mask));
-    PdScheduler plain(kMachine, cube_options(mask));
+  for (int mask = 0; mask < kPositions; ++mask) {
+    SCOPED_TRACE(position_name(mask));
+    PdScheduler compacted(kMachine, position_options(mask));
+    PdScheduler plain(kMachine, position_options(mask));
     run_twins(compacted, plain, jobs, ticks, 16);
     if (::testing::Test::HasFatalFailure()) return;
-    if ((mask & 2) != 0) {
-      // Indexed: compaction actually ran and the live window stayed small.
-      EXPECT_GT(compacted.counters().compactions, 0);
-      EXPECT_GT(compacted.counters().compacted_intervals, 0);
-      EXPECT_LT(compacted.live_intervals(), plain.live_intervals());
-      EXPECT_GT(compacted.retired_energy(), 0.0);
-    } else {
-      // Contiguous backend: compact=true is inert, like windowed/lazy.
-      EXPECT_EQ(compacted.counters().compactions, 0);
-      EXPECT_EQ(compacted.live_intervals(), plain.live_intervals());
-    }
+    // Compaction actually ran and the live window stayed small.
+    EXPECT_GT(compacted.counters().compactions, 0);
+    EXPECT_GT(compacted.counters().compacted_intervals, 0);
+    EXPECT_LT(compacted.live_intervals(), plain.live_intervals());
+    EXPECT_GT(compacted.retired_energy(), 0.0);
   }
 }
 
@@ -280,9 +273,9 @@ TEST(Checkpoint, RoundTripAcrossCubeMidSoak) {
   const int ticks = 96;
   const int cut = 48;  // checkpoint mid-stream, state in full flight
   const auto jobs = steady_workload(ticks, 31);
-  for (int mask = 0; mask < 16; ++mask) {
-    SCOPED_TRACE(cube_name(mask));
-    PdScheduler live(kMachine, cube_options(mask));
+  for (int mask = 0; mask < kPositions; ++mask) {
+    SCOPED_TRACE(position_name(mask));
+    PdScheduler live(kMachine, position_options(mask));
     std::size_t j = 0;
     for (int t = 0; t < cut; ++t) {
       while (j < jobs.size() && jobs[j].release < double(t + 1))
@@ -293,7 +286,7 @@ TEST(Checkpoint, RoundTripAcrossCubeMidSoak) {
     const std::string blob = serialize(live);
     // Identical state serializes to identical bytes...
     ASSERT_EQ(serialize(live), blob);
-    PdScheduler restored(kMachine, cube_options(mask));
+    PdScheduler restored(kMachine, position_options(mask));
     std::istringstream is(blob, std::ios::binary);
     io::load_scheduler(is, restored);
     // ...and so does the restored image.
@@ -360,26 +353,51 @@ TEST(Checkpoint, RejectsMismatchedConfigurationAndGarbage) {
   std::istringstream is1(blob, std::ios::binary);
   EXPECT_THROW(io::load_scheduler(is1, wrong_machine), std::invalid_argument);
 
-  // Mode flags are live, migratable state since PR 10: a differently
-  // configured target adopts the blob's cube position instead of
-  // rejecting it, and continues bitwise identically to the source.
-  PdOptions contiguous;
-  contiguous.indexed = false;
-  PdScheduler other_mode(kMachine, contiguous);
+  // The engine position is part of the configuration fingerprint: a
+  // windowed or lazy mismatch changes what the restored state means (the
+  // accepted-id records, the pending annotations), so it is refused.
+  PdOptions unscreened;
+  unscreened.windowed = false;
+  PdScheduler wrong_windowed(kMachine, unscreened);
   std::istringstream is2(blob, std::ios::binary);
-  io::load_scheduler(is2, other_mode);
-  EXPECT_TRUE(other_mode.indexed());
-  const Job next{1, 1.0, 4.0, 1.0, 5.0};
-  const auto d_src = source.on_arrival(next);
-  const auto d_restored = other_mode.on_arrival(next);
-  EXPECT_EQ(d_src.accepted, d_restored.accepted);
-  EXPECT_EQ(d_src.lambda, d_restored.lambda);
-  EXPECT_EQ(d_src.planned_energy, d_restored.planned_energy);
+  EXPECT_THROW(io::load_scheduler(is2, wrong_windowed), std::invalid_argument);
+
+  PdOptions eager;
+  eager.lazy = false;
+  PdScheduler wrong_lazy(kMachine, eager);
+  std::istringstream is3(blob, std::ios::binary);
+  EXPECT_THROW(io::load_scheduler(is3, wrong_lazy), std::invalid_argument);
 
   PdScheduler truncated_target(kMachine, {});
-  std::istringstream is3(blob.substr(0, blob.size() / 2), std::ios::binary);
-  EXPECT_THROW(io::load_scheduler(is3, truncated_target),
+  std::istringstream is4(blob.substr(0, blob.size() / 2), std::ios::binary);
+  EXPECT_THROW(io::load_scheduler(is4, truncated_target),
                std::invalid_argument);
+}
+
+// An engine image in the previous format (magic "PSSCKPT4", whose session
+// blobs carried backend-selector bytes and a tuner block) is refused up
+// front as bad magic rather than misparsed.
+TEST(Checkpoint, EngineRefusesPreviousFormatAsBadMagic) {
+  stream::EngineOptions options;
+  options.num_shards = 2;
+  options.machine = kMachine;
+  stream::StreamEngine source(options);
+  (void)source.feed(1, {0, 0.0, 4.0, 1.0, 5.0});
+  std::ostringstream os(std::ios::binary);
+  source.checkpoint(os);
+  std::string image = os.str();
+  ASSERT_EQ(image.substr(0, 8), "PSSCKPT5");
+  image.replace(0, 8, "PSSCKPT4");
+
+  stream::StreamEngine target(options);
+  std::istringstream is(image, std::ios::binary);
+  try {
+    target.restore(is);
+    ADD_FAILURE() << "a PSSCKPT4 image was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Checkpoint, FreshSchedulerRoundTrips) {

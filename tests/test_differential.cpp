@@ -1,34 +1,42 @@
-// Differential harness for the PD engine variants.
+// Differential harness: the production PD engine against the test-only
+// reference oracle.
 //
-// PdOptions selects two independent fast paths: `incremental` (the
-// curve-cache + lazy-sum placement of PR 2) and `indexed` (the
-// stable-handle interval store backend). Every combination must be
-// *decision-identical* to the stateless contiguous reference: same
+// core::PdScheduler runs one engine — interval-store state, curve-cache
+// water fill — with two certified fast paths, PdOptions::windowed (the
+// segment-tree screen) and PdOptions::lazy (closed-form water levels
+// committed as range annotations). In all four {windowed} x {lazy}
+// positions it must be *decision-identical* to reference::ReferencePd, the
+// stateless contiguous oracle (tests/support/reference_pd): same
 // accept/reject bits, and bitwise-equal lambdas, speeds, planned energies,
-// and final-schedule cost, on every instance we can generate. The fast
-// paths mirror the reference arithmetic operation for operation (see
+// and final-schedule cost, on every instance we can generate. The engine
+// mirrors the oracle's arithmetic operation for operation (see
 // util::LazyLinearSum and model::IntervalStore), so the comparisons here
-// are exact EQ, not NEAR — any reordering of floating-point work in a
-// future change will show up as a hard failure, which is the point.
+// are exact, not NEAR — any reordering of floating-point work in a future
+// change will show up as a hard failure, which is the point. Fractional PD
+// is held to its oracle the same way in its four positions.
 //
 // Coverage: ~1k seeded instances across uniform, bursty (Poisson heavy
 // tail), tight-laxity, and the adversarial Theorem-3 stream, for
 // alpha in {1.1, 2, 3} x m in {1, 4, 16}; plus split-heavy long-horizon
 // families (bisection deadlines and heavy-tailed lookahead anchors) that
-// stress the Section-3 refinement machinery, an accept-heavy long-horizon
-// family where pruned rejections are rare (the lazy water-level regime),
-// and the fractional scheduler on both backends. The engine cube is the
-// full {incremental} x {indexed} x {windowed} x {lazy} matrix.
+// stress the Section-3 refinement machinery, a wide-window family where
+// the screen fires, and an accept-heavy long-horizon family where pruned
+// rejections are rare (the lazy water-level regime). A canary feeds the
+// harness a one-ulp-wrong oracle to prove the harness compares something.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/fractional_pd.hpp"
 #include "core/pd_scheduler.hpp"
+#include "core/rejection.hpp"
 #include "model/instance.hpp"
 #include "model/schedule.hpp"
+#include "support/reference_pd.hpp"
 #include "util/random.hpp"
 #include "workload/generators.hpp"
 
@@ -46,126 +54,89 @@ struct DiffParam {
 
 class PdDifferential : public ::testing::TestWithParam<DiffParam> {};
 
-// Every fast-path combination of the {incremental} x {indexed} x
-// {windowed} x {lazy} option cube, each compared against the contiguous
-// stateless reference (all four off). `windowed` selects the segment-tree
-// screen and `lazy` the annotation-based water-level commits; both are
-// inert on the contiguous backend, and the contiguous "(inert)" rows prove
-// exactly that. The lazy rows are the bitwise-identity proof for the
-// annotation machinery: identical decisions, lambdas, speeds, energies and
-// final costs against the eager reference on every instance.
+// The production engine in every position of the {windowed} x {lazy}
+// square. The plain position proves the interval store + curve cache
+// alone; the others prove each certified shortcut and their combination.
 const struct EngineVariant {
   const char* name;
   PdOptions options;
 } kVariants[] = {
-    {"contiguous+cached",
-     {.delta = {}, .incremental = true, .indexed = false, .windowed = false,
-      .lazy = false}},
-    {"contiguous+stateless+windowed(inert)",
-     {.delta = {}, .incremental = false, .indexed = false, .windowed = true,
-      .lazy = false}},
-    {"contiguous+cached+windowed(inert)",
-     {.delta = {}, .incremental = true, .indexed = false, .windowed = true,
-      .lazy = false}},
-    {"contiguous+stateless+lazy(inert)",
-     {.delta = {}, .incremental = false, .indexed = false, .windowed = false,
-      .lazy = true}},
-    {"indexed+stateless",
-     {.delta = {}, .incremental = false, .indexed = true, .windowed = false,
-      .lazy = false}},
-    {"indexed+cached",
-     {.delta = {}, .incremental = true, .indexed = true, .windowed = false,
-      .lazy = false}},
-    {"indexed+stateless+windowed",
-     {.delta = {}, .incremental = false, .indexed = true, .windowed = true,
-      .lazy = false}},
-    {"indexed+cached+windowed",
-     {.delta = {}, .incremental = true, .indexed = true, .windowed = true,
-      .lazy = false}},
-    {"indexed+stateless+lazy",
-     {.delta = {}, .incremental = false, .indexed = true, .windowed = false,
-      .lazy = true}},
-    {"indexed+cached+lazy",
-     {.delta = {}, .incremental = true, .indexed = true, .windowed = false,
-      .lazy = true}},
-    {"indexed+stateless+windowed+lazy",
-     {.delta = {}, .incremental = false, .indexed = true, .windowed = true,
-      .lazy = true}},
-    {"indexed+cached+windowed+lazy",
-     {.delta = {}, .incremental = true, .indexed = true, .windowed = true,
-      .lazy = true}},
+    {"plain", {.delta = {}, .windowed = false, .lazy = false}},
+    {"windowed", {.delta = {}, .windowed = true, .lazy = false}},
+    {"lazy", {.delta = {}, .windowed = false, .lazy = true}},
+    {"windowed+lazy", {.delta = {}, .windowed = true, .lazy = true}},
 };
 
-// Feeds the reference and all variants in lockstep and asserts
-// bitwise-identical decisions.
-void expect_engines_identical(const model::Instance& instance) {
-  PdScheduler reference(
-      instance.machine(),
-      {.delta = {}, .incremental = false, .indexed = false, .windowed = false,
-       .lazy = false});
+bool same_decision(const core::ArrivalDecision& a,
+                   const core::ArrivalDecision& b) {
+  return a.accepted == b.accepted && a.speed == b.speed &&
+         a.lambda == b.lambda && a.planned_energy == b.planned_energy;
+}
+
+// Feeds the oracle and all engine positions in lockstep. The first
+// divergence is reported as exactly one non-fatal failure and ends the
+// comparison (so the canary below can intercept it).
+void expect_engines_identical(const model::Instance& instance,
+                              reference::ReferencePd oracle) {
   std::vector<PdScheduler> variants;
   for (const EngineVariant& v : kVariants)
     variants.emplace_back(instance.machine(), v.options);
   for (const model::Job& job : instance.jobs_by_release()) {
-    const auto a = reference.on_arrival(job);
+    const auto a = oracle.on_arrival(job);
     for (std::size_t i = 0; i < variants.size(); ++i) {
       const auto b = variants[i].on_arrival(job);
-      ASSERT_EQ(a.accepted, b.accepted)
-          << kVariants[i].name << " " << job.to_string();
-      ASSERT_EQ(a.speed, b.speed)
-          << kVariants[i].name << " " << job.to_string();
-      ASSERT_EQ(a.lambda, b.lambda)
-          << kVariants[i].name << " " << job.to_string();
-      ASSERT_EQ(a.planned_energy, b.planned_energy)
-          << kVariants[i].name << " " << job.to_string();
+      if (!same_decision(a, b)) {
+        ADD_FAILURE() << kVariants[i].name << " diverged from the oracle on "
+                      << job.to_string() << ": accepted " << a.accepted
+                      << "/" << b.accepted << " speed " << a.speed << "/"
+                      << b.speed << " lambda " << a.lambda << "/"
+                      << b.lambda << " energy " << a.planned_energy << "/"
+                      << b.planned_energy;
+        return;
+      }
     }
   }
-  const auto cost_ref = reference.final_schedule().cost(instance);
+  const double cost_ref = oracle.final_schedule().cost(instance).total();
   for (std::size_t i = 0; i < variants.size(); ++i) {
-    ASSERT_EQ(reference.planned_energy(), variants[i].planned_energy())
-        << kVariants[i].name;
-    ASSERT_EQ(cost_ref.total(), variants[i].final_schedule().cost(instance)
-                                    .total())
-        << kVariants[i].name;
-    ASSERT_EQ(reference.counters().interval_splits,
-              variants[i].counters().interval_splits)
-        << kVariants[i].name;
-    // The cached variants must actually have gone through the cache.
-    if (kVariants[i].options.incremental) {
-      EXPECT_GT(variants[i].counters().curve_cache_hits +
-                    variants[i].counters().curve_cache_rebuilds,
-                0)
-          << kVariants[i].name;
+    const PdScheduler& engine = variants[i];
+    if (oracle.planned_energy() != engine.planned_energy() ||
+        cost_ref != engine.final_schedule().cost(instance).total() ||
+        oracle.state().interval_splits != engine.counters().interval_splits) {
+      ADD_FAILURE() << kVariants[i].name
+                    << " diverged from the oracle at the end of the run";
+      return;
     }
+    // The engine must actually have gone through the curve cache.
+    EXPECT_GT(engine.counters().curve_cache_hits +
+                  engine.counters().curve_cache_rebuilds,
+              0)
+        << kVariants[i].name;
   }
-  EXPECT_EQ(reference.counters().curve_cache_hits, 0);
 }
 
-// The fractional scheduler across {indexed} x {windowed} x {lazy}, bitwise.
+void expect_engines_identical(const model::Instance& instance) {
+  expect_engines_identical(instance,
+                           reference::ReferencePd(instance.machine()));
+}
+
+// Fractional PD in every {windowed} x {lazy} position against its oracle.
 void expect_fractional_identical(const model::Instance& instance) {
-  const auto contiguous = core::run_fractional_pd(
-      instance,
-      {.delta = {}, .indexed = false, .windowed = false, .lazy = false});
+  const auto oracle = reference::run_fractional_pd(instance);
   const core::FractionalPdOptions variants[] = {
-      // windowed / lazy are inert on the contiguous backend
-      {.delta = {}, .indexed = false, .windowed = true, .lazy = false},
-      {.delta = {}, .indexed = false, .windowed = false, .lazy = true},
-      {.delta = {}, .indexed = true, .windowed = false, .lazy = false},
-      {.delta = {}, .indexed = true, .windowed = true, .lazy = false},
-      {.delta = {}, .indexed = true, .windowed = false, .lazy = true},
-      {.delta = {}, .indexed = true, .windowed = true, .lazy = true},
+      {.delta = {}, .windowed = false, .lazy = false},
+      {.delta = {}, .windowed = true, .lazy = false},
+      {.delta = {}, .windowed = false, .lazy = true},
+      {.delta = {}, .windowed = true, .lazy = true},
   };
   for (const auto& options : variants) {
     const auto other = core::run_fractional_pd(instance, options);
-    ASSERT_EQ(contiguous.fraction, other.fraction)
-        << "indexed=" << options.indexed << " windowed=" << options.windowed
-        << " lazy=" << options.lazy;
-    ASSERT_EQ(contiguous.lambda, other.lambda);
-    ASSERT_EQ(contiguous.energy, other.energy);
-    ASSERT_EQ(contiguous.lost_value, other.lost_value);
-    ASSERT_EQ(contiguous.dual_lower_bound, other.dual_lower_bound);
-    ASSERT_EQ(contiguous.partition.boundaries(),
-              other.partition.boundaries());
+    ASSERT_EQ(oracle.fraction, other.fraction)
+        << "windowed=" << options.windowed << " lazy=" << options.lazy;
+    ASSERT_EQ(oracle.lambda, other.lambda);
+    ASSERT_EQ(oracle.energy, other.energy);
+    ASSERT_EQ(oracle.lost_value, other.lost_value);
+    ASSERT_EQ(oracle.dual_lower_bound, other.dual_lower_bound);
+    ASSERT_EQ(oracle.partition.boundaries(), other.partition.boundaries());
   }
 }
 
@@ -329,7 +300,7 @@ TEST_P(PdDifferential, WideWindowInstances) {
     const auto inst = wide_window_instance(150, Machine{param.m, param.alpha},
                                            8200 + std::uint64_t(seed));
     expect_engines_identical(inst);
-    if (::testing::Test::HasFatalFailure()) return;
+    if (::testing::Test::HasFailure()) return;
     // The screen must have certified rejections on this family — not
     // merely run (window_exact counts fallbacks, so prunes is the signal).
     PdScheduler windowed(inst.machine(), {});
@@ -402,7 +373,7 @@ TEST_P(PdDifferential, AcceptHeavyLongHorizonInstances) {
     const auto inst = accept_heavy_instance(96, Machine{param.m, param.alpha},
                                             8300 + std::uint64_t(seed));
     expect_engines_identical(inst);
-    if (::testing::Test::HasFatalFailure()) return;
+    if (::testing::Test::HasFailure()) return;
     // The default engine (all fast paths on) must demonstrably exercise the
     // lazy machinery on this family, not merely match it: closed-form
     // accepts committed as annotations AND annotations expanded on touch.
@@ -433,6 +404,24 @@ TEST_P(PdDifferential, FractionalBackendsIdentical) {
       bisection_instance(100, Machine{param.m, param.alpha}, 9100));
   expect_fractional_identical(
       lookahead_instance(120, Machine{param.m, param.alpha}, 9200));
+}
+
+// Non-vacuity canary: an oracle whose delta is one ulp off the engine's
+// must be reported. A harness that silently compared nothing (or compared
+// the engine with itself) would pass every family above; this one fails
+// unless the comparison really reaches the decision arithmetic.
+TEST(OracleCanary, OneUlpDeltaNudgeIsReported) {
+  const Machine machine{4, 2.0};
+  workload::UniformConfig config;
+  config.num_jobs = 30;
+  const auto inst = workload::uniform_random(config, machine, 4242);
+  const double nudged = std::nextafter(core::optimal_delta(machine.alpha),
+                                       std::numeric_limits<double>::max());
+  EXPECT_NONFATAL_FAILURE(
+      expect_engines_identical(inst, reference::ReferencePd(machine, nudged)),
+      "diverged from the oracle");
+  // The un-nudged oracle on the same instance is clean.
+  expect_engines_identical(inst);
 }
 
 INSTANTIATE_TEST_SUITE_P(

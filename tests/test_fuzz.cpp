@@ -189,108 +189,5 @@ TEST(Fuzz, CoordinateDescentIsPermutationStable) {
   }
 }
 
-// ------------------------------------------------------- tuner soak
-
-// Hysteresis proof by soak: a live interval count that oscillates wildly
-// around the up-flip threshold — but never falls through the down band —
-// must cause at most ONE backend migration no matter how long it thrashes.
-TEST(Fuzz, TunerHysteresisSurvivesThresholdOscillation) {
-  util::Rng rng(4242);
-  for (int trial = 0; trial < 20; ++trial) {
-    core::TunerOptions opts;
-    opts.indexed_threshold = std::size_t(rng.uniform_int(16, 256));
-    opts.down_fraction = rng.uniform(0.1, 0.5);
-    core::PolicyTuner tuner(opts);
-    core::PdCounters counters;
-    const double down =
-        double(opts.indexed_threshold) * opts.down_fraction;
-    bool indexed = false;
-    int flips = 0;
-    for (int step = 0; step < 2000; ++step) {
-      // Oscillate across the up threshold while staying strictly above the
-      // down threshold: the classic thrash trigger for a naive tuner.
-      const std::size_t live = std::size_t(
-          rng.uniform(down + 1.0, 2.0 * double(opts.indexed_threshold)));
-      const auto v = tuner.evaluate(counters, live, indexed, false, false,
-                                    true, false, false);
-      if (v.migrate) {
-        ++flips;
-        indexed = v.indexed;
-      }
-    }
-    EXPECT_LE(flips, 1) << "trial " << trial << " threshold "
-                        << opts.indexed_threshold << " down " << down;
-    EXPECT_TRUE(indexed) << "trial " << trial;  // it did cross, once
-  }
-}
-
-// Mutation torture across flips: adaptive sessions with aggressive flip
-// thresholds, random forced migrations layered on top, hostile random
-// traffic — every op must stay bitwise identical to the never-migrated
-// all-off reference, and the flip count must respect hysteresis.
-TEST(Fuzz, TunerMutationTortureStaysBitwiseIdentical) {
-  const core::PdOptions kCube[] = {
-      {.delta = {}, .incremental = true, .indexed = false, .windowed = false,
-       .lazy = false},
-      {.delta = {}, .incremental = false, .indexed = true, .windowed = false,
-       .lazy = false},
-      {.delta = {}, .incremental = true, .indexed = true, .windowed = true,
-       .lazy = false},
-      {.delta = {}, .incremental = true, .indexed = true, .windowed = true,
-       .lazy = true},
-      {.delta = {}, .incremental = false, .indexed = true, .windowed = false,
-       .lazy = true},
-  };
-  util::Rng rng(98765);
-  for (int trial = 0; trial < 30; ++trial) {
-    const Machine machine{int(rng.uniform_int(1, 4)), rng.uniform(1.5, 4.0)};
-    workload::PoissonConfig config;
-    config.num_jobs = 48;
-    config.arrival_rate = rng.uniform(0.5, 3.0);
-    config.value_scale = rng.uniform(0.5, 2.0);
-    const auto inst =
-        workload::poisson_heavy_tail(config, machine, 77000 + trial);
-
-    core::PdOptions adaptive_opts;
-    adaptive_opts.adaptive = true;
-    adaptive_opts.tuner.indexed_threshold =
-        std::size_t(rng.uniform_int(4, 24));
-    adaptive_opts.tuner.eval_period = std::size_t(rng.uniform_int(1, 4));
-    core::PdScheduler adaptive(machine, adaptive_opts);
-    core::PdScheduler mutated(machine, kCube[0]);  // forced random flips
-    core::PdScheduler reference(
-        machine, {.delta = {}, .incremental = false, .indexed = false,
-                  .windowed = false, .lazy = false});
-
-    for (const Job& job : inst.jobs_by_release()) {
-      if (rng.bernoulli(0.2)) {
-        // Compaction immediately before and after a flip: the migration
-        // must survive landing on a freshly retired prefix and being
-        // compacted right away (both decision-neutral on their own).
-        if (rng.bernoulli(0.5)) mutated.advance_to(job.release, true);
-        mutated.migrate_to(kCube[rng.uniform_int(0, 4)]);
-        if (rng.bernoulli(0.5)) mutated.advance_to(job.release, true);
-      }
-      const auto a = adaptive.on_arrival(job);
-      const auto m = mutated.on_arrival(job);
-      const auto r = reference.on_arrival(job);
-      adaptive.advance_to(job.release);
-      ASSERT_EQ(a.accepted, r.accepted) << "trial " << trial;
-      ASSERT_EQ(a.speed, r.speed) << "trial " << trial;
-      ASSERT_EQ(a.lambda, r.lambda) << "trial " << trial;
-      ASSERT_EQ(a.planned_energy, r.planned_energy) << "trial " << trial;
-      ASSERT_EQ(m.accepted, r.accepted) << "trial " << trial;
-      ASSERT_EQ(m.speed, r.speed) << "trial " << trial;
-      ASSERT_EQ(m.lambda, r.lambda) << "trial " << trial;
-      ASSERT_EQ(m.planned_energy, r.planned_energy) << "trial " << trial;
-    }
-    ASSERT_EQ(adaptive.planned_energy(), reference.planned_energy());
-    ASSERT_EQ(mutated.planned_energy(), reference.planned_energy());
-    // Never compacted, so the interval count only grows: hysteresis allows
-    // at most the single up-flip (feature drops need 256+ samples).
-    EXPECT_LE(adaptive.counters().backend_flips, 1) << "trial " << trial;
-  }
-}
-
 }  // namespace
 }  // namespace pss

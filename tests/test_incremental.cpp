@@ -1,15 +1,17 @@
-// Property coverage for the incremental engine's cache-invalidation
-// triggers — the paths tests/test_fuzz.cpp does not reach:
+// Property coverage for the engine's curve-cache invalidation triggers —
+// the paths tests/test_fuzz.cpp does not reach — each checked bitwise
+// against the reference oracle (tests/support/reference_pd):
 //   * interior interval splits mid-stream (a later arrival's boundary lands
 //     inside an interval that already carries committed load),
 //   * horizon extension to the right (t > hi appends intervals),
 //   * the prepend path (t < lo in ensure_boundary, reachable through the
 //     1e-12 release-order tolerance and by driving OnlineState directly).
-// Plus direct unit tests of CurveCache epoch validation and structural
-// mirroring, and of LazyLinearSum against the materialized sum.
+// Plus direct unit tests of CurveCache (epoch, length) validation across
+// store refinements, and of LazyLinearSum against the materialized sum.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 #include <vector>
 
 #include "chen/insertion_curve.hpp"
@@ -18,7 +20,9 @@
 #include "core/online_state.hpp"
 #include "core/pd_scheduler.hpp"
 #include "model/instance.hpp"
+#include "model/interval_store.hpp"
 #include "model/time_partition.hpp"
+#include "support/reference_pd.hpp"
 #include "util/math.hpp"
 #include "util/piecewise_linear.hpp"
 #include "util/random.hpp"
@@ -29,8 +33,21 @@ namespace {
 using core::CurveCache;
 using core::OnlineState;
 using core::PdScheduler;
+using model::IntervalStore;
 using model::Job;
 using model::Machine;
+
+// A store over `bounds` carrying the given (interval, job, amount) loads.
+IntervalStore make_store(const std::vector<double>& bounds,
+                         const std::vector<std::tuple<std::size_t,
+                                                      model::JobId, double>>&
+                             loads) {
+  IntervalStore store;
+  for (const double b : bounds) store.ensure_boundary(b);
+  for (const auto& [k, job, amount] : loads)
+    store.set_load(store.handle_at(k), job, amount);
+  return store;
+}
 
 Job make_job(model::JobId id, double release, double deadline, double work,
              double value) {
@@ -46,8 +63,8 @@ Job make_job(model::JobId id, double release, double deadline, double work,
 void expect_lockstep_identical(const std::vector<Job>& jobs, Machine machine,
                                long long* splits = nullptr,
                                long long* extensions = nullptr) {
-  PdScheduler reference(machine, {.delta = {}, .incremental = false});
-  PdScheduler cached(machine, {.delta = {}, .incremental = true});
+  reference::ReferencePd reference(machine);
+  PdScheduler cached(machine);
   for (const Job& job : jobs) {
     const auto a = reference.on_arrival(job);
     const auto b = cached.on_arrival(job);
@@ -129,8 +146,8 @@ TEST(CacheInvalidation, PrependThroughReleaseTolerance) {
       make_job(0, r0, 2.0, 1.0, util::kInf),
       make_job(1, r1, 1.5, 0.7, 5.0),
   };
-  PdScheduler reference(Machine{2, 2.0}, {.delta = {}, .incremental = false});
-  PdScheduler cached(Machine{2, 2.0}, {.delta = {}, .incremental = true});
+  reference::ReferencePd reference(Machine{2, 2.0});
+  PdScheduler cached(Machine{2, 2.0});
   for (const Job& job : jobs) {
     const auto a = reference.on_arrival(job);
     const auto b = cached.on_arrival(job);
@@ -145,32 +162,29 @@ TEST(CacheInvalidation, PrependThroughReleaseTolerance) {
   EXPECT_NEAR(cached.assignment().total_of(0), 1.0, 1e-9);
 }
 
-// Driving OnlineState directly: prepend must shift loads, epochs, and the
-// mirrored cache entries together, leaving previously built curves valid.
+// Driving OnlineState directly: a prepend shifts every interval's position
+// but no handle, so previously built curves stay valid and hit.
 TEST(CacheInvalidation, OnlineStatePrependKeepsCacheAligned) {
   OnlineState state;
   CurveCache cache;
   state.ensure_boundary(1.0, &cache);
   state.ensure_boundary(2.0, &cache);
   state.ensure_boundary(3.0, &cache);
-  ASSERT_EQ(state.assignment.num_intervals(), 2u);
-  ASSERT_EQ(cache.size(), 2u);
-  state.assignment.set_load(0, 7, 1.5);
-  state.assignment.set_load(1, 8, 0.5);
+  ASSERT_EQ(state.num_intervals(), 2u);
+  state.store.set_load(state.store.handle_at(0), 7, 1.5);
+  state.store.set_load(state.store.handle_at(1), 8, 0.5);
 
-  const auto before =
-      cache.curves_for(state.assignment, state.partition, 2, {0, 2});
+  const auto before = cache.curves_for(state.store, 2, {0, 2});
   const std::vector<util::PiecewiseLinear::Knot> knots0 = before[0]->knots();
   ASSERT_EQ(cache.stats().rebuilds, 2);
 
   state.ensure_boundary(0.5, &cache);  // t < lo: prepend
-  ASSERT_EQ(state.assignment.num_intervals(), 3u);
-  ASSERT_EQ(cache.size(), 3u);
+  ASSERT_EQ(state.num_intervals(), 3u);
   EXPECT_EQ(state.horizon_extensions, 2);  // the append at t=3, this prepend
-  EXPECT_EQ(state.assignment.load_of(1, 7), 1.5);  // shifted with its interval
+  // Job 7's load moved to position 1 with its interval.
+  EXPECT_EQ(state.store.load_of(state.store.handle_at(1), 7), 1.5);
 
-  const auto after =
-      cache.curves_for(state.assignment, state.partition, 2, {0, 3});
+  const auto after = cache.curves_for(state.store, 2, {0, 3});
   // Only the new leading interval needed a build; the shifted entries hit.
   EXPECT_EQ(cache.stats().rebuilds, 3);
   EXPECT_EQ(cache.stats().hits, 2);
@@ -184,30 +198,26 @@ TEST(CacheInvalidation, OnlineStatePrependKeepsCacheAligned) {
 // ------------------------------------------------------- CurveCache mechanics
 
 TEST(CurveCache, EpochInvalidationOnSetLoad) {
-  model::WorkAssignment assignment(3);
-  const auto partition =
-      model::TimePartition::from_boundaries({0.0, 1.0, 2.5, 3.0});
-  assignment.set_load(0, 1, 2.0);
-  assignment.set_load(1, 2, 1.0);
+  IntervalStore store =
+      make_store({0.0, 1.0, 2.5, 3.0}, {{0, 1, 2.0}, {1, 2, 1.0}});
 
   CurveCache cache;
-  cache.reset(3);
-  (void)cache.curves_for(assignment, partition, 2, {0, 3});
+  (void)cache.curves_for(store, 2, {0, 3});
   EXPECT_EQ(cache.stats().rebuilds, 3);
   EXPECT_EQ(cache.stats().hits, 0);
 
-  (void)cache.curves_for(assignment, partition, 2, {0, 3});
+  (void)cache.curves_for(store, 2, {0, 3});
   EXPECT_EQ(cache.stats().rebuilds, 3);
   EXPECT_EQ(cache.stats().hits, 3);
 
-  assignment.set_load(1, 3, 0.25);  // dirties interval 1 only
-  const auto curves = cache.curves_for(assignment, partition, 2, {0, 3});
+  store.set_load(store.handle_at(1), 3, 0.25);  // dirties interval 1 only
+  const auto curves = cache.curves_for(store, 2, {0, 3});
   EXPECT_EQ(cache.stats().rebuilds, 4);
   EXPECT_EQ(cache.stats().hits, 5);
 
   // The rebuilt curve matches a from-scratch build exactly.
-  const auto fresh = chen::insertion_curve(assignment.loads(1), -1, 2,
-                                           partition.length(1));
+  const auto fresh = chen::insertion_curve(store.loads(store.handle_at(1)),
+                                           -1, 2, 1.5);
   ASSERT_EQ(curves[1]->knots().size(), fresh.knots().size());
   for (std::size_t i = 0; i < fresh.knots().size(); ++i) {
     EXPECT_EQ(curves[1]->knots()[i].x, fresh.knots()[i].x);
@@ -216,42 +226,33 @@ TEST(CurveCache, EpochInvalidationOnSetLoad) {
 }
 
 TEST(CurveCache, SplitInvalidatesBothHalves) {
-  model::WorkAssignment assignment(2);
-  auto partition = model::TimePartition::from_boundaries({0.0, 2.0, 4.0});
-  assignment.set_load(0, 1, 3.0);
-  assignment.set_load(1, 2, 1.0);
+  IntervalStore store = make_store({0.0, 2.0, 4.0}, {{0, 1, 3.0}, {1, 2, 1.0}});
 
   CurveCache cache;
-  cache.reset(2);
-  (void)cache.curves_for(assignment, partition, 1, {0, 2});
+  (void)cache.curves_for(store, 1, {0, 2});
   ASSERT_EQ(cache.stats().rebuilds, 2);
 
-  // Split interval 0 at 0.5 of its length; both halves must rebuild, the
-  // shifted old interval 1 must not.
-  partition.insert_boundary(1.0);
-  assignment.split_interval(0, 0.5);
-  cache.on_split(0);
-  (void)cache.curves_for(assignment, partition, 1, {0, 3});
+  // Split interval 0 at half its length; both halves must rebuild (the
+  // left keeps its handle but changed epoch and length, the right is a
+  // fresh handle), the shifted old interval 1 must not.
+  store.ensure_boundary(1.0);
+  (void)cache.curves_for(store, 1, {0, 3});
   EXPECT_EQ(cache.stats().rebuilds, 4);
   EXPECT_EQ(cache.stats().hits, 1);
 }
 
 TEST(CurveCache, IgnoreJobLoadBypassesCache) {
-  model::WorkAssignment assignment(1);
-  const auto partition = model::TimePartition::from_boundaries({0.0, 2.0});
-  assignment.set_load(0, 5, 1.0);
-  assignment.set_load(0, 6, 4.0);
+  IntervalStore store = make_store({0.0, 2.0}, {{0, 5, 1.0}, {0, 6, 4.0}});
 
   CurveCache cache;
-  cache.reset(1);
   // Excluding job 5 must produce the other-loads curve, not the all-loads
   // curve, and must not poison the cache for later all-loads queries.
-  const auto excluding = cache.curves_for(assignment, partition, 2, {0, 1}, 5);
+  const auto excluding = cache.curves_for(store, 2, {0, 1}, 5);
   const auto expected = chen::insertion_curve({4.0}, 2, 2.0);
   EXPECT_EQ(excluding[0]->eval(1.0), expected.eval(1.0));
   EXPECT_EQ(cache.stats().hits, 0);
 
-  const auto all = cache.curves_for(assignment, partition, 2, {0, 1});
+  const auto all = cache.curves_for(store, 2, {0, 1});
   const auto expected_all = chen::insertion_curve({1.0, 4.0}, 2, 2.0);
   EXPECT_EQ(all[0]->eval(1.0), expected_all.eval(1.0));
 }
@@ -312,9 +313,12 @@ TEST(LazyLinearSum, MatchesReferenceWaterFill) {
     const auto reference = convex::water_fill(assignment, partition, m,
                                               window, work, cap, 7);
 
+    IntervalStore store = make_store(bounds, {});
+    for (std::size_t k = 0; k < num_intervals; ++k)
+      for (const model::Load& l : assignment.loads(k))
+        store.set_load(store.handle_at(k), l.job, l.amount);
     CurveCache cache;
-    cache.reset(num_intervals);
-    const auto curves = cache.curves_for(assignment, partition, m, window, 7);
+    const auto curves = cache.curves_for(store, m, window, 7);
     const auto fast = convex::water_fill_over_curves(curves, work, cap);
 
     ASSERT_EQ(reference.has_value(), fast.has_value()) << "trial " << trial;

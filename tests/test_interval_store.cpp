@@ -5,12 +5,12 @@
 //     find / last_leq / select / rank / next / prev);
 //   * model::IntervalStore semantics: bootstrap below two boundaries,
 //     split / append / prepend refinements, stable handles, epochs, and
-//     snapshot materialization — cross-checked against the contiguous
-//     TimePartition + WorkAssignment pair driven through the same
-//     core::OnlineState entry point (including a prepend-heavy stream the
-//     arrival-ordered schedulers can never produce);
+//     snapshot materialization — core::OnlineState cross-checked against
+//     the reference oracle's contiguous TimePartition + WorkAssignment
+//     refinement (tests/support/reference_pd), including a prepend-heavy
+//     stream the arrival-ordered schedulers can never produce;
 //   * torture at 100k+ intervals with duplicate / already-boundary inserts
-//     for both the indexed and the contiguous reference backend.
+//     for both the interval store and the contiguous reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "core/online_state.hpp"
 #include "core/pd_scheduler.hpp"
 #include "model/interval_store.hpp"
+#include "support/reference_pd.hpp"
 #include "util/order_index.hpp"
 #include "util/random.hpp"
 
@@ -313,15 +314,14 @@ TEST(IntervalStore, SnapshotBelowTwoBoundaries) {
   EXPECT_EQ(partition.boundaries(), std::vector<double>{7.0});
 }
 
-// ----------------------------------------- OnlineState backend equivalence
+// ------------------------------- OnlineState against the contiguous oracle
 
-// Replays the same ensure_boundary / load stream through both backends and
-// compares the full state bitwise.
+// Replays the same ensure_boundary / load stream through the online state
+// and the oracle's contiguous refinement and compares the state bitwise.
 void expect_backends_identical(const std::vector<double>& boundaries,
                                std::uint64_t load_seed) {
-  OnlineState contiguous;
+  reference::ContiguousState contiguous;
   OnlineState indexed;
-  indexed.indexed = true;
   util::Rng rng(load_seed);
   model::JobId next_job = 0;
   for (const double t : boundaries) {
@@ -397,7 +397,6 @@ TEST(OnlineStateBackends, SplitHeavyBisectionStreamMatches) {
 TEST(IntervalStoreTorture, BisectionTo100kIntervalsWithDuplicates) {
   constexpr std::uint32_t kN = 1u << 17;  // 131072 intervals
   OnlineState state;
-  state.indexed = true;
   state.ensure_boundary(0.0);
   state.ensure_boundary(double(kN));
   // Plant a load so every split divides a nonempty interval.
@@ -428,7 +427,7 @@ TEST(IntervalStoreTorture, BisectionTo100kIntervalsWithDuplicates) {
 // cheap direction — middle inserts would be quadratic) with duplicates.
 TEST(IntervalStoreTorture, ContiguousAscendingTo100kWithDuplicates) {
   constexpr int kN = 120000;
-  OnlineState state;  // indexed = false: TimePartition + WorkAssignment
+  reference::ContiguousState state;  // TimePartition + WorkAssignment
   for (int pass = 0; pass < 2; ++pass)
     for (int t = 0; t <= kN; ++t) state.ensure_boundary(double(t));
   ASSERT_EQ(state.partition.num_intervals(), std::size_t(kN));
@@ -437,34 +436,41 @@ TEST(IntervalStoreTorture, ContiguousAscendingTo100kWithDuplicates) {
   EXPECT_EQ(state.horizon_extensions, (long long)kN - 1);
 }
 
-// Both backends through the bootstrap corner (<2 boundaries) of
-// OnlineState::ensure_boundary, which PdScheduler hits on its very first
-// arrival and after every reset().
+// The online state and the contiguous oracle through the bootstrap corner
+// (<2 boundaries) of ensure_boundary, which PdScheduler hits on its very
+// first arrival and after every reset().
+template <typename State>
+void expect_bootstrap_corner() {
+  State state;
+  state.ensure_boundary(5.0);
+  EXPECT_EQ(state.num_intervals(), 0u);
+  state.ensure_boundary(5.0);  // duplicate of the lone boundary
+  EXPECT_EQ(state.num_intervals(), 0u);
+  state.ensure_boundary(9.0);  // second boundary: first interval
+  EXPECT_EQ(state.num_intervals(), 1u);
+  EXPECT_EQ(state.interval_splits, 0);
+  EXPECT_EQ(state.horizon_extensions, 0);
+  state.ensure_boundary(7.0);  // now a genuine split
+  EXPECT_EQ(state.num_intervals(), 2u);
+  EXPECT_EQ(state.interval_splits, 1);
+}
+
 TEST(OnlineStateBackends, EnsureBoundaryBootstrap) {
-  for (const bool indexed : {false, true}) {
-    SCOPED_TRACE(indexed ? "indexed" : "contiguous");
-    OnlineState state;
-    state.indexed = indexed;
-    state.ensure_boundary(5.0);
-    EXPECT_EQ(state.num_intervals(), 0u);
-    state.ensure_boundary(5.0);  // duplicate of the lone boundary
-    EXPECT_EQ(state.num_intervals(), 0u);
-    state.ensure_boundary(9.0);  // second boundary: first interval
-    EXPECT_EQ(state.num_intervals(), 1u);
-    EXPECT_EQ(state.interval_splits, 0);
-    EXPECT_EQ(state.horizon_extensions, 0);
-    state.ensure_boundary(7.0);  // now a genuine split
-    EXPECT_EQ(state.num_intervals(), 2u);
-    EXPECT_EQ(state.interval_splits, 1);
+  {
+    SCOPED_TRACE("interval store");
+    expect_bootstrap_corner<OnlineState>();
+  }
+  {
+    SCOPED_TRACE("contiguous oracle");
+    expect_bootstrap_corner<reference::ContiguousState>();
   }
 }
 
 // ------------------------------------------------- PdScheduler integration
 
 TEST(PdSchedulerIndexed, AccessorsSnapshotTheStore) {
-  core::PdScheduler indexed({2, 2.0}, {.delta = {}, .indexed = true});
-  core::PdScheduler contiguous({2, 2.0},
-                               {.delta = {}, .indexed = false});
+  core::PdScheduler indexed({2, 2.0});
+  reference::ReferencePd contiguous({2, 2.0});
   const std::vector<model::Job> jobs = {
       {0, 0.0, 4.0, 2.0, 10.0},
       {1, 1.0, 3.0, 1.0, 8.0},
@@ -474,8 +480,6 @@ TEST(PdSchedulerIndexed, AccessorsSnapshotTheStore) {
     indexed.on_arrival(job);
     contiguous.on_arrival(job);
   }
-  EXPECT_TRUE(indexed.indexed());
-  EXPECT_FALSE(contiguous.indexed());
   EXPECT_EQ(indexed.partition().boundaries(),
             contiguous.partition().boundaries());
   const auto& a = indexed.assignment();
@@ -487,11 +491,13 @@ TEST(PdSchedulerIndexed, AccessorsSnapshotTheStore) {
   EXPECT_EQ(indexed.planned_energy(), contiguous.planned_energy());
 }
 
+// reset() keeps the configured fast-path positions and restarts clean.
 TEST(PdSchedulerIndexed, ResetKeepsTheIndexedBackend) {
-  core::PdScheduler pd({2, 2.0}, {.delta = {}, .indexed = true});
+  core::PdScheduler pd({2, 2.0}, {.delta = {}, .windowed = false});
   pd.on_arrival({0, 0.0, 2.0, 1.0, 5.0});
   pd.reset();
-  EXPECT_TRUE(pd.indexed());
+  EXPECT_FALSE(pd.windowed());
+  EXPECT_TRUE(pd.lazy());
   EXPECT_EQ(pd.partition().num_intervals(), 0u);
   const auto decision = pd.on_arrival({1, 1.0, 3.0, 1.0, 5.0});
   EXPECT_TRUE(decision.accepted);

@@ -80,8 +80,9 @@ TEST(LazyLevels, UniformClosedFormMatchesExactFill) {
             store.ensure_boundary(unit * double(i));
           const auto window = store.range(0.0, unit * double(count));
           ASSERT_EQ(window.size(), count);
-          const auto exact = convex::water_fill(store, m, window, work,
-                                                max_speed, /*job=*/0);
+          const auto exact = convex::water_fill(
+              store.snapshot_assignment(), store.snapshot_partition(), m,
+              window, work, max_speed, /*job=*/0);
           const convex::UniformFill fill =
               convex::water_fill_uniform(unit, count, m, work, max_speed);
           ASSERT_EQ(exact.has_value(), fill.accepted)
@@ -175,11 +176,7 @@ void run_torture(std::uint64_t seed, double alpha, int m, int steps,
                  int compare_every) {
   const Machine machine{m, alpha};
   PdScheduler lazy(machine, {});  // defaults: all fast paths on
-  PdScheduler eager(machine, {.delta = {},
-                              .incremental = true,
-                              .indexed = true,
-                              .windowed = true,
-                              .lazy = false});
+  PdScheduler eager(machine, {.delta = {}, .windowed = true, .lazy = false});
   util::Rng rng(seed);
   double clock = 0.0;
   int id = 0;

@@ -268,51 +268,64 @@ TEST(StreamEngine, ShardCountInvarianceBitwise1_4_16) {
             at16.snapshot.counters.interval_splits);
 }
 
-// The shard-invariance property must survive the lazy water-level backend:
-// with lazy explicitly on, any shard count produces bitwise-identical
-// per-stream decisions — and they are bitwise identical to an eager
-// (lazy=false) engine on the same streams.
+// The shard-invariance property must hold in every engine position of the
+// {windowed} x {lazy} square: any shard count produces bitwise-identical
+// per-stream decisions, and every position is bitwise identical to the
+// plain (unscreened, eager) engine on the same streams.
 TEST(StreamEngine, ShardCountInvarianceHoldsWithLazyLevels) {
   auto config = small_config(24, 32);
   config.jobs_per_tick = 1.0;  // tick streams: the lazy fast-path regime
   config.min_span = 1;
   config.max_span = 4;
-  const auto with_lazy = [](std::size_t shards, bool lazy) {
+  const auto position = [](std::size_t shards, bool windowed, bool lazy) {
     stream::EngineOptions options;
     options.num_shards = shards;
     options.machine = kMachine;
     options.record_decisions = true;
+    options.scheduler.windowed = windowed;
     options.scheduler.lazy = lazy;
     return options;
   };
-  const auto lazy1 = sim::sweep_streams(config, with_lazy(1, true));
-  const auto lazy5 = sim::sweep_streams(config, with_lazy(5, true));
-  const auto eager3 = sim::sweep_streams(config, with_lazy(3, false));
-  // The annotation machinery demonstrably ran on the lazy engines only.
-  EXPECT_GT(lazy1.snapshot.counters.lazy_commits, 0);
-  EXPECT_EQ(lazy1.snapshot.counters.lazy_commits,
-            lazy5.snapshot.counters.lazy_commits);
-  EXPECT_EQ(eager3.snapshot.counters.lazy_commits, 0);
-  ASSERT_EQ(lazy1.streams.size(), 24u);
-  ASSERT_EQ(lazy5.streams.size(), 24u);
-  ASSERT_EQ(eager3.streams.size(), 24u);
-  for (std::size_t s = 0; s < 24; ++s) {
-    const auto& a = lazy1.streams[s];
-    const auto& b = lazy5.streams[s];
-    const auto& c = eager3.streams[s];
-    ASSERT_EQ(a.id, b.id);
-    ASSERT_EQ(a.id, c.id);
-    EXPECT_EQ(a.planned_energy, b.planned_energy);
-    EXPECT_EQ(a.planned_energy, c.planned_energy);
-    ASSERT_EQ(a.decisions.size(), b.decisions.size());
-    ASSERT_EQ(a.decisions.size(), c.decisions.size());
-    for (std::size_t i = 0; i < a.decisions.size(); ++i) {
-      EXPECT_EQ(a.decisions[i].second.accepted,
-                b.decisions[i].second.accepted);
-      EXPECT_EQ(a.decisions[i].second.speed, b.decisions[i].second.speed);
-      EXPECT_EQ(a.decisions[i].second.lambda, c.decisions[i].second.lambda);
-      EXPECT_EQ(a.decisions[i].second.planned_energy,
-                c.decisions[i].second.planned_energy);
+  const auto plain = sim::sweep_streams(config, position(3, false, false));
+  EXPECT_EQ(plain.snapshot.counters.lazy_commits, 0);
+  ASSERT_EQ(plain.streams.size(), 24u);
+  for (int mask = 0; mask < 4; ++mask) {
+    const bool windowed = (mask & 1) != 0;
+    const bool lazy = (mask & 2) != 0;
+    SCOPED_TRACE("windowed=" + std::to_string(windowed) +
+                 " lazy=" + std::to_string(lazy));
+    const auto one = sim::sweep_streams(config, position(1, windowed, lazy));
+    const auto five = sim::sweep_streams(config, position(5, windowed, lazy));
+    // The annotation machinery demonstrably ran on the lazy engines only.
+    if (lazy) {
+      EXPECT_GT(one.snapshot.counters.lazy_commits, 0);
+    } else {
+      EXPECT_EQ(one.snapshot.counters.lazy_commits, 0);
+    }
+    EXPECT_EQ(one.snapshot.counters.lazy_commits,
+              five.snapshot.counters.lazy_commits);
+    ASSERT_EQ(one.streams.size(), 24u);
+    ASSERT_EQ(five.streams.size(), 24u);
+    for (std::size_t s = 0; s < 24; ++s) {
+      const auto& a = one.streams[s];
+      const auto& b = five.streams[s];
+      const auto& c = plain.streams[s];
+      ASSERT_EQ(a.id, b.id);
+      ASSERT_EQ(a.id, c.id);
+      EXPECT_EQ(a.planned_energy, b.planned_energy);
+      EXPECT_EQ(a.planned_energy, c.planned_energy);
+      ASSERT_EQ(a.decisions.size(), b.decisions.size());
+      ASSERT_EQ(a.decisions.size(), c.decisions.size());
+      for (std::size_t i = 0; i < a.decisions.size(); ++i) {
+        for (const auto* other : {&b, &c}) {
+          const auto& da = a.decisions[i].second;
+          const auto& db = other->decisions[i].second;
+          EXPECT_EQ(da.accepted, db.accepted);
+          EXPECT_EQ(da.speed, db.speed);
+          EXPECT_EQ(da.lambda, db.lambda);
+          EXPECT_EQ(da.planned_energy, db.planned_energy);
+        }
+      }
     }
   }
 }
