@@ -1,41 +1,44 @@
-// Accept-heavy wide-window streams: eager per-interval commits against the
-// lazy water-level annotations (PdOptions::lazy), at ~16k / ~131k / ~1M
+// Accept-heavy wide-window streams: the eager per-interval commits of the
+// test-only reference oracle (tests/support/reference_pd) against the
+// production engine's lazy water-level annotations, at ~16k / ~131k / ~1M
 // atomic intervals.
 //
 // The workload separates grid planting from the measured accepts:
 //
 //   * Planters: one job per integer tick t with window [t, t+W+2) and a
 //     hopeless value (0.1% of energy-fair). Each plants the boundary grid
-//     two ticks ahead of the widest window and is rejected through the
-//     segment-tree screen's certified O(log n) path — it commits no load,
-//     so the grid it leaves behind is virgin.
+//     two ticks ahead of the widest window and is rejected — by the
+//     engine through the segment-tree screen's certified O(log n) path —
+//     committing no load, so the grid it leaves behind is virgin.
 //   * Accepters: every W ticks, a job whose window [t, t+W) spans exactly
-//     W virgin unit intervals at an irresistible value. The eager engine
-//     pays Theta(W) per accept (one water-filling scan plus one load write
-//     per window interval); the lazy engine decides it with the certified
+//     W virgin unit intervals at an irresistible value. The oracle pays
+//     Theta(W) per accept (one water-filling scan plus one load write per
+//     window interval); the engine decides it with the certified
 //     closed-form replay (convex::water_fill_uniform) and commits one
 //     O(log n) range annotation.
 //
 // W scales with the horizon (W = ticks/64), so per-accept cost under the
-// eager engine grows linearly with the interval count while the lazy
-// engine's stays polylogarithmic — that growth ratio is the tentpole
-// guard. The driver fails (exit 1) if
-//   * any lazy run disagrees bitwise with its eager twin on decisions,
-//     speeds or planned energy (determinism guard), or
-//   * the lazy per-accept cost fails to grow sub-linearly: across the
+// oracle grows linearly with the interval count while the engine's stays
+// polylogarithmic — that growth ratio is the headline guard. The driver
+// fails (exit 1) if
+//   * any engine run disagrees bitwise with the oracle on decisions,
+//     speeds or planned energy (determinism guard; the oracle also scans
+//     every planter window, so it runs only up to its cap), or
+//   * the engine's per-accept cost fails to grow sub-linearly: across the
 //     interval-count ratio R from the smallest to the largest size, the
 //     mean accept latency must grow by less than sqrt(R), or
 //   * the lazy fast path did not actually serve every accepter.
 //
 // Env knobs (all optional):
 //   PSS_ACCEPT_MAX_TICKS   largest horizon in ticks       (default 1048576)
-//   PSS_ACCEPT_EAGER_MAX   eager-twin cap in ticks        (default 1048576)
+//   PSS_ACCEPT_ORACLE_MAX  oracle cap in ticks            (default 16384)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common.hpp"
@@ -43,6 +46,7 @@
 #include "core/pd_scheduler.hpp"
 #include "model/job.hpp"
 #include "sim/metrics.hpp"
+#include "support/reference_pd.hpp"
 #include "workload/generators.hpp"
 
 namespace {
@@ -103,10 +107,9 @@ struct AcceptRun {
   std::vector<std::pair<bool, double>> decisions;
 };
 
-AcceptRun run_accept_stream(const std::vector<AcceptJob>& jobs, bool lazy,
-                            bool keep_decisions) {
-  PdScheduler scheduler(kMachine,
-                        {.delta = {}, .windowed = true, .lazy = lazy});
+template <typename Scheduler>
+AcceptRun run_accept_stream(const std::vector<AcceptJob>& jobs,
+                            Scheduler scheduler, bool keep_decisions) {
   AcceptRun run;
   if (keep_decisions) run.decisions.reserve(jobs.size());
   const auto start = clock_type::now();
@@ -122,7 +125,12 @@ AcceptRun run_accept_stream(const std::vector<AcceptJob>& jobs, bool lazy,
   run.seconds =
       std::chrono::duration<double>(clock_type::now() - start).count();
   run.arrivals_per_sec = double(jobs.size()) / run.seconds;
-  run.counters = scheduler.counters();
+  if constexpr (std::is_same_v<Scheduler, PdScheduler>) {
+    run.counters = scheduler.counters();
+  } else {
+    // The oracle keeps no counters; report its partition size.
+    run.counters.max_intervals = scheduler.state().num_intervals();
+  }
   run.planned_energy = scheduler.planned_energy();
   return run;
 }
@@ -148,11 +156,11 @@ BENCHMARK(BM_UniformClosedForm)
 
 int main(int argc, char** argv) {
   const int max_ticks = env_int("PSS_ACCEPT_MAX_TICKS", 1 << 20);
-  const int eager_max = env_int("PSS_ACCEPT_EAGER_MAX", 1 << 20);
+  const int oracle_max = env_int("PSS_ACCEPT_ORACLE_MAX", 1 << 14);
 
   pss::bench::print_header(
       "ACCEPT-SCALE",
-      "accept-heavy wide-window streams: eager per-interval commits vs "
+      "accept-heavy wide-window streams: oracle per-interval commits vs "
       "lazy water-level annotations");
 
   using pss::bench::JsonValue;
@@ -174,14 +182,17 @@ int main(int argc, char** argv) {
   for (const int ticks : sizes) {
     const int window = std::max(ticks / 64, 4);
     const auto stream = accept_stream(ticks, window);
-    const bool with_eager = ticks <= eager_max;
-    AcceptRun eager;
-    if (with_eager) eager = run_accept_stream(stream, false, true);
-    const AcceptRun lazy = run_accept_stream(stream, true, with_eager);
-    if (with_eager && (lazy.decisions != eager.decisions ||
-                       lazy.planned_energy != eager.planned_energy)) {
+    const bool with_oracle = ticks <= oracle_max;
+    AcceptRun oracle;
+    if (with_oracle)
+      oracle = run_accept_stream(stream, pss::reference::ReferencePd(kMachine),
+                                 true);
+    const AcceptRun lazy =
+        run_accept_stream(stream, PdScheduler(kMachine), with_oracle);
+    if (with_oracle && (lazy.decisions != oracle.decisions ||
+                        lazy.planned_energy != oracle.planned_energy)) {
       determinism_match = false;
-      std::cerr << "FATAL: lazy and eager engines disagree at " << ticks
+      std::cerr << "FATAL: the engine and the oracle disagree at " << ticks
                 << " ticks — perf numbers void\n";
     }
     // Every accepter must have been served by the closed-form fast path —
@@ -194,10 +205,10 @@ int main(int argc, char** argv) {
                 << lazy.accept_us.count() << " accepts took the lazy fast "
                 << "path at " << ticks << " ticks\n";
     }
-    for (const bool is_lazy : {false, true}) {
-      if (!is_lazy && !with_eager) continue;
-      const AcceptRun& run = is_lazy ? lazy : eager;
-      const char* engine = is_lazy ? "lazy" : "eager";
+    for (const bool is_engine : {false, true}) {
+      if (!is_engine && !with_oracle) continue;
+      const AcceptRun& run = is_engine ? lazy : oracle;
+      const char* engine = is_engine ? "engine" : "oracle";
       table.add_row({std::string(engine), (long long)ticks,
                      (long long)window,
                      (long long)run.counters.max_intervals,
@@ -241,19 +252,19 @@ int main(int argc, char** argv) {
   }
   pss::bench::emit(table, "accept_scale.csv");
 
-  // The tentpole guard: across the interval-count ratio R the lazy
+  // The headline guard: across the interval-count ratio R the engine's
   // per-accept cost must grow by less than sqrt(R) — far above
-  // polylog-growth noise, far below the eager engine's linear growth
-  // (its window, and thus its per-accept scan, scales with the horizon).
+  // polylog-growth noise, far below the oracle's linear growth (its
+  // window, and thus its per-accept scan, scales with the horizon).
   const double size_ratio = large_n / std::max(small_n, 1.0);
   const double growth = lazy_large / std::max(lazy_small, 1e-9);
   const bool sublinear = size_ratio < 2.0 || growth < std::sqrt(size_ratio);
   if (!sublinear)
     std::cerr << "FATAL: lazy per-accept cost grew " << growth << "x over a "
               << size_ratio << "x interval ratio — not sub-linear\n";
-  std::cout << "expected shape: lazy accept cost roughly flat from 16k to "
-               "1M intervals while eager grows with its window; planter "
-               "cost stays O(log n) on both\n";
+  std::cout << "expected shape: engine accept cost roughly flat from 16k "
+               "to 1M intervals while the oracle grows with its window; "
+               "engine planter cost stays O(log n)\n";
 
   JsonValue root = JsonValue::object();
   root.set("bench", JsonValue::string("accept_scale"))

@@ -216,13 +216,6 @@ int main(int argc, char** argv) {
       "online refinement at long horizons: contiguous O(n) vs indexed "
       "O(log n) interval store");
 
-  // windowed pinned off: this driver's committed baseline measures the
-  // refinement machinery itself; the screen is bench_window_scale's
-  // subject.
-  const auto engine = [] {
-    return PdScheduler(kMachine, {.delta = {}, .windowed = false});
-  };
-
   using pss::bench::JsonValue;
   bool determinism_match = true;
 
@@ -306,7 +299,8 @@ int main(int argc, char** argv) {
     if (with_guard)
       oracle =
           run_pd_stream(stream, pss::reference::ReferencePd(kMachine), true);
-    const PdRun indexed = run_pd_stream(stream, engine(), with_guard);
+    const PdRun indexed =
+        run_pd_stream(stream, PdScheduler(kMachine), with_guard);
     if (with_guard && (indexed.decisions != oracle.decisions ||
                        indexed.planned_energy != oracle.planned_energy)) {
       determinism_match = false;

@@ -81,13 +81,10 @@ struct RunResult {
 };
 
 // The two columns the JSON tracks: the stateless contiguous oracle and the
-// production engine ("indexed": interval store + curve cache). `windowed`
-// is pinned off so the engine label keeps meaning the same machinery
-// across revisions; the windowed screen has its own driver (bench_window_scale)
-// measuring the workload shape it exists for.
+// production engine ("indexed": interval store + curve cache, with the
+// always-on screen and lazy water levels).
 constexpr const char* kOracle = "oracle";
 constexpr const char* kEngine = "indexed";
-const pss::core::PdOptions kEngineOptions = {.delta = {}, .windowed = false};
 
 constexpr std::uint64_t kStreamSeed = 42;
 
@@ -210,7 +207,7 @@ int main(int argc, char** argv) {
         run_engine(stream, pss::reference::ReferencePd(machine));
     add_row(table, runs, density.name, jobs, kOracle, oracle);
     const RunResult fast =
-        run_engine(stream, PdScheduler(machine, kEngineOptions));
+        run_engine(stream, PdScheduler(machine));
     if (fast.decisions != oracle.decisions ||
         fast.planned_energy != oracle.planned_energy) {
       decisions_match = false;
@@ -232,7 +229,7 @@ int main(int argc, char** argv) {
     const auto stream =
         make_stream(scale_jobs, density, machine.alpha, kStreamSeed);
     add_row(table, runs, density.name + "-scale", scale_jobs, kEngine,
-            run_engine(stream, PdScheduler(machine, kEngineOptions)));
+            run_engine(stream, PdScheduler(machine)));
   }
 
   pss::bench::emit(table, "throughput.csv");

@@ -1,6 +1,7 @@
-// Wide-window placement cost: the linear O(window) scan against the
-// certified segment-tree screen (PdOptions::windowed), at probe window
-// widths from ~1k to ~1M atomic intervals.
+// Wide-window placement cost: the linear O(window) scan of the test-only
+// reference oracle (tests/support/reference_pd) against the production
+// engine's certified segment-tree screen, at probe window widths from ~1k
+// to ~1M atomic intervals.
 //
 // Setup (per engine): a planting burst of hopeless rejected arrivals at
 // release 0 whose ascending deadlines refine the horizon into ~N unit
@@ -12,25 +13,24 @@
 // of hopeless probes with windows spanning ~W intervals, each planting a
 // fresh off-grid split (so the screen also pays its per-arrival tree
 // maintenance), with a few loaders between batches to keep invalidation
-// churn flowing. Probes are rejected: the linear engine walks all ~W
-// intervals to learn it, the windowed engine certifies the same decision
-// from O(log n) segment-tree summaries — ROADMAP's last O(window) hot
-// path after PR 4, paid in full by arrivals that commit nothing.
+// churn flowing. Probes are rejected: the oracle walks all ~W intervals
+// (rebuilding each insertion curve) to learn it, the engine certifies the
+// same decision from O(log n) segment-tree summaries — paid in full by
+// arrivals that commit nothing.
 //
 // Guards (driver exits 1 on failure):
-//   * determinism: on the shared small stream, the windowed and linear
-//     engines agree bitwise on every decision and on planned energy;
-//   * screen engagement: every windowed run certifies rejections;
-//   * sub-linearity (ISSUE-5 acceptance): per-probe cost grows <= 2.5x
-//     over every 64x increase in window width.
+//   * determinism: on the shared small stream, the engine and the oracle
+//     agree bitwise on every decision and on planned energy;
+//   * screen engagement: every engine run certifies rejections;
+//   * sub-linearity: the engine's per-probe cost grows <= 2.5x over every
+//     64x increase in window width.
 //
-// This container is 1-core: the numbers here establish the shape (flat
-// windowed curve vs linear scan growth); determinism is what is verified
-// locally, per the repo's bench discipline.
+// The numbers establish the shape (flat engine curve vs linear oracle
+// growth); determinism is what the guards verify.
 //
 // Env knobs (all optional):
 //   PSS_WINDOW_MAX_WIDTH    largest target window width   (default 1048576)
-//   PSS_WINDOW_LINEAR_MAX   linear-engine width cap       (default 16384)
+//   PSS_WINDOW_ORACLE_MAX   oracle width cap              (default 4096)
 //   PSS_WINDOW_PROBES       probes per width batch        (default 192)
 #include <algorithm>
 #include <chrono>
@@ -38,12 +38,14 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common.hpp"
 #include "core/pd_scheduler.hpp"
 #include "model/job.hpp"
 #include "sim/metrics.hpp"
+#include "support/reference_pd.hpp"
 #include "util/random.hpp"
 #include "workload/generators.hpp"
 
@@ -68,7 +70,7 @@ Job hopeless_probe(int id, double release, double deadline) {
   job.release = release;
   job.deadline = deadline;
   // Far beyond any capacity the window offers below s_reject, so the
-  // linear reference rejects after walking the window and the screen
+  // oracle rejects after walking the window and the screen
   // certifies the same rejection from the tree bounds.
   job.work = 0.1 * (deadline - release) + 1.0;
   job.value = 1e-6;
@@ -152,9 +154,9 @@ struct EngineRun {
   std::vector<std::pair<bool, double>> decisions;
 };
 
-EngineRun run_engine(const std::vector<Phase>& phases, bool windowed,
+template <typename Scheduler>
+EngineRun run_engine(const std::vector<Phase>& phases, Scheduler scheduler,
                      bool keep_decisions) {
-  PdScheduler scheduler(kMachine, {.delta = {}, .windowed = windowed});
   EngineRun run;
   const auto start = clock_type::now();
   for (const Phase& phase : phases) {
@@ -191,35 +193,38 @@ EngineRun run_engine(const std::vector<Phase>& phases, bool windowed,
   }
   run.seconds =
       std::chrono::duration<double>(clock_type::now() - start).count();
-  run.counters = scheduler.counters();
+  if constexpr (std::is_same_v<Scheduler, PdScheduler>) {
+    run.counters = scheduler.counters();
+  } else {
+    // The oracle keeps no counters; derive the reported ones.
+    for (const auto& [id, decision] : scheduler.decisions())
+      (decision.accepted ? run.counters.accepted : run.counters.rejected) += 1;
+    run.counters.interval_splits = scheduler.state().interval_splits;
+    run.counters.max_intervals = scheduler.state().num_intervals();
+  }
   run.planned_energy = scheduler.planned_energy();
   return run;
 }
 
 void BM_ScreenedWideProbe(benchmark::State& state) {
-  const bool windowed = state.range(0) != 0;
   const auto phases = build_phases(2048, {1024}, 32, kSeed);
   for (auto _ : state) {
-    const auto run = run_engine(phases, windowed, false);
+    const auto run = run_engine(phases, PdScheduler(kMachine), false);
     benchmark::DoNotOptimize(run.seconds);
   }
 }
-BENCHMARK(BM_ScreenedWideProbe)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"windowed"})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScreenedWideProbe)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const int max_width = env_int("PSS_WINDOW_MAX_WIDTH", 1 << 20);
-  const int linear_max = env_int("PSS_WINDOW_LINEAR_MAX", 1 << 14);
+  const int oracle_max = env_int("PSS_WINDOW_ORACLE_MAX", 1 << 12);
   const int probes_per_width = env_int("PSS_WINDOW_PROBES", 192);
 
   pss::bench::print_header(
       "WINDOW-SCALE",
-      "wide-window placement: linear O(window) scan vs certified "
+      "wide-window placement: oracle O(window) scan vs certified "
       "segment-tree screen");
 
   using pss::bench::JsonValue;
@@ -231,7 +236,7 @@ int main(int argc, char** argv) {
   if (widths.empty()) widths.push_back(max_width);
   std::vector<int> small_widths;
   for (int w : widths)
-    if (w <= linear_max) small_widths.push_back(w);
+    if (w <= oracle_max) small_widths.push_back(w);
 
   pss::util::Table table({"engine", "width", "probe us", "p99 us",
                           "prunes", "exact", "run s"});
@@ -276,45 +281,46 @@ int main(int argc, char** argv) {
             .set("planned_energy", JsonValue::number(run.planned_energy)));
   };
 
-  // ---- shared small stream: bitwise guard + linear contrast -------------
+  // ---- shared small stream: bitwise guard + oracle contrast -------------
   if (!small_widths.empty()) {
     const int small_horizon =
         small_widths.back() + int(kLoaderTicks) + 64;
     const auto small_phases =
         build_phases(small_horizon, small_widths, probes_per_width, kSeed);
-    const EngineRun linear = run_engine(small_phases, false, true);
-    const EngineRun windowed_small = run_engine(small_phases, true, true);
-    if (windowed_small.decisions != linear.decisions ||
-        windowed_small.planned_energy != linear.planned_energy) {
+    const EngineRun oracle = run_engine(
+        small_phases, pss::reference::ReferencePd(kMachine), true);
+    const EngineRun screened =
+        run_engine(small_phases, PdScheduler(kMachine), true);
+    if (screened.decisions != oracle.decisions ||
+        screened.planned_energy != oracle.planned_energy) {
       determinism_match = false;
-      std::cerr << "FATAL: windowed and linear engines disagree on the "
+      std::cerr << "FATAL: the engine and the oracle disagree on the "
                    "shared stream — perf numbers void\n";
     }
-    if (windowed_small.counters.window_prunes == 0) prunes_ok = false;
-    if (linear.counters.window_prunes != 0) determinism_match = false;
-    emit_run("linear", linear);
-    stamp_run("linear", linear);
-    emit_run("windowed", windowed_small);
-    stamp_run("windowed", windowed_small);
+    if (screened.counters.window_prunes == 0) prunes_ok = false;
+    emit_run("oracle", oracle);
+    stamp_run("oracle", oracle);
+    emit_run("engine", screened);
+    stamp_run("engine", screened);
   }
 
-  // ---- full-scale windowed sweep ----------------------------------------
+  // ---- full-scale engine sweep ------------------------------------------
   const int horizon = widths.back() + int(kLoaderTicks) + 64;
   const auto phases =
       build_phases(horizon, widths, probes_per_width, kSeed);
-  const EngineRun windowed = run_engine(phases, true, false);
-  if (windowed.counters.window_prunes == 0) prunes_ok = false;
-  emit_run("windowed-full", windowed);
-  stamp_run("windowed-full", windowed);
+  const EngineRun full = run_engine(phases, PdScheduler(kMachine), false);
+  if (full.counters.window_prunes == 0) prunes_ok = false;
+  emit_run("engine-full", full);
+  stamp_run("engine-full", full);
   pss::bench::emit(table, "window_scale.csv");
   if (!prunes_ok)
-    std::cerr << "FATAL: a windowed run certified no rejections — the "
+    std::cerr << "FATAL: an engine run certified no rejections — the "
                  "screen never engaged\n";
 
   // ---- sub-linearity guard: <= 2.5x over every 64x width increase -------
   bool sublinear = true;
   double worst_ratio = 0.0, worst_span = 0.0;
-  const auto& batches = windowed.batches;
+  const auto& batches = full.batches;
   for (std::size_t i = 0; i < batches.size(); ++i) {
     for (std::size_t j = i + 1; j < batches.size(); ++j) {
       const double span = double(batches[j].max_window) /
@@ -328,14 +334,14 @@ int main(int argc, char** argv) {
       }
       if (ratio > 2.5) {
         sublinear = false;
-        std::cerr << "FATAL: windowed per-probe cost grew " << ratio
+        std::cerr << "FATAL: engine per-probe cost grew " << ratio
                   << "x over a " << span << "x window-width increase\n";
       }
     }
   }
-  std::cout << "expected shape: windowed probe cost roughly flat from 1k "
-               "to 1M-interval windows while the linear engine grows "
-               "linearly (capped at width " << linear_max << ")\n";
+  std::cout << "expected shape: engine probe cost roughly flat from 1k "
+               "to 1M-interval windows while the oracle grows linearly "
+               "(capped at width " << oracle_max << ")\n";
 
   JsonValue root = JsonValue::object();
   root.set("bench", JsonValue::string("window_scale"))
@@ -346,7 +352,7 @@ int main(int argc, char** argv) {
       .set("determinism_match", JsonValue::boolean(determinism_match))
       .set("screen_engaged", JsonValue::boolean(prunes_ok))
       .set("sublinear_window", JsonValue::boolean(sublinear))
-      .set("windowed_growth",
+      .set("engine_growth",
            JsonValue::object()
                .set("worst_64x_width_ratio", JsonValue::number(worst_span))
                .set("worst_64x_probe_us_ratio",

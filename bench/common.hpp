@@ -159,18 +159,34 @@ class JsonValue {
   bool bool_ = false;
 };
 
+// Build provenance, passed in as compile definitions by CMakeLists.txt.
+#ifndef PSS_BENCH_BUILD_TYPE
+#define PSS_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef PSS_BENCH_COMPILER
+#define PSS_BENCH_COMPILER "unknown"
+#endif
+#ifndef PSS_BENCH_CXX_FLAGS
+#define PSS_BENCH_CXX_FLAGS "unknown"
+#endif
+
 /// Writes `root` to sim::result_dir()/name and echoes the path. Every
 /// BENCH_*.json uniformly records the machine's hardware_concurrency (so a
 /// multi-core re-measurement is comparable against numbers taken on a
-/// small box) and the workload seed the driver generated its streams from
-/// (so the exact run is reproducible); the two fields are stamped here
+/// small box), the workload seed the driver generated its streams from
+/// (so the exact run is reproducible), and the build that produced the
+/// numbers (build type, compiler and version, CXX flags — absolute rates
+/// from different builds are not comparable); the fields are stamped here
 /// rather than ad hoc per driver.
 inline void emit_json(JsonValue root, const std::string& name,
                       std::uint64_t workload_seed) {
   root.set("hardware_concurrency",
            JsonValue::integer(
                (long long)std::thread::hardware_concurrency()))
-      .set("workload_seed", JsonValue::integer((long long)workload_seed));
+      .set("workload_seed", JsonValue::integer((long long)workload_seed))
+      .set("build_type", JsonValue::string(PSS_BENCH_BUILD_TYPE))
+      .set("compiler", JsonValue::string(PSS_BENCH_COMPILER))
+      .set("cxx_flags", JsonValue::string(PSS_BENCH_CXX_FLAGS));
   const std::string path = sim::result_dir() + "/" + name;
   std::ofstream out(path);
   root.write(out);

@@ -8,8 +8,9 @@
 #
 # Exits nonzero on any configure/build error, any compiler warning, any
 # ctest failure, a test file missing from the registered ctest suite, a
-# clock read on a decision path, a perf-smoke engine/oracle mismatch, or
-# malformed bench JSON.
+# clock read on a decision path, a perf-smoke engine/oracle mismatch,
+# malformed bench JSON, or a failed output check of the repository
+# benchmark (perfbench/).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -113,10 +114,10 @@ fi
 echo "horizon-smoke: OK (${BUILD_DIR}/bench_results/BENCH_horizon.json)"
 
 # Window-scale smoke: small widths through the segment-tree screen. The
-# driver exits nonzero if the windowed and linear engines ever disagree,
-# if the screen never certifies a rejection, or if windowed probe cost
-# fails the sub-linearity check.
-PSS_WINDOW_MAX_WIDTH=4096 PSS_WINDOW_LINEAR_MAX=4096 PSS_WINDOW_PROBES=48 \
+# driver exits nonzero if the engine ever disagrees with the reference
+# oracle, if the screen never certifies a rejection, or if the engine's
+# probe cost fails the sub-linearity check.
+PSS_WINDOW_MAX_WIDTH=4096 PSS_WINDOW_ORACLE_MAX=4096 PSS_WINDOW_PROBES=48 \
   PSS_RESULT_DIR=bench_results \
   ./bench_window_scale --benchmark_filter=NONE_ > /dev/null
 if command -v python3 > /dev/null; then
@@ -127,10 +128,10 @@ fi
 echo "window-smoke: OK (${BUILD_DIR}/bench_results/BENCH_window.json)"
 
 # Accept-scale smoke: small accept-heavy run of the lazy water-level
-# driver. The driver exits nonzero if the lazy and eager engines ever
-# disagree bitwise, if any accepter missed the closed-form fast path, or
-# if the lazy per-accept cost fails the sub-linearity check.
-PSS_ACCEPT_MAX_TICKS=16384 PSS_ACCEPT_EAGER_MAX=16384 \
+# driver. The driver exits nonzero if the engine ever disagrees bitwise
+# with the reference oracle, if any accepter missed the closed-form fast
+# path, or if the per-accept cost fails the sub-linearity check.
+PSS_ACCEPT_MAX_TICKS=16384 PSS_ACCEPT_ORACLE_MAX=16384 \
   PSS_RESULT_DIR=bench_results \
   ./bench_accept_scale --benchmark_filter=NONE_ > /dev/null
 if command -v python3 > /dev/null; then
@@ -200,25 +201,34 @@ for artifact in bench_results/BENCH_*.json; do
 done
 echo "docs-consistency: OK (all emitted BENCH_*.json schemas documented)"
 
+# Benchmark checks: a short run of every repository-benchmark workload
+# (perfbench/, built into .bench_build/). run.py exits nonzero when a
+# workload's output check fails — serving engine vs a direct PdScheduler
+# replay, recovered vs uninterrupted engine — or when the build fails.
+cd "${ROOT}"
+python3 perfbench/run.py --workload all --seconds 2 > /dev/null
+echo "benchmark-checks: OK (every perfbench workload passed its output checks)"
+
 # Sanitizer pass: the compaction/checkpoint code paths move treap slabs,
 # recycle handles and rebuild state from byte streams — exactly the code
 # where a stale pointer or uninitialised read hides from a plain build.
 # Build a second tree with ASan+UBSan and run the suites that exercise
 # prefix compaction, checkpoint/restore and the stream engine end to end,
-# plus the oracle differential suite, which drives every engine position
-# (segment-tree screen, lazy annotations, curve cache) hardest.
+# plus the oracle differential suite, which drives the engine (segment-tree
+# screen, lazy annotations, curve cache) hardest, and the lazy-level and
+# screen suites: annotation materialization and tree maintenance run on
+# every arrival.
 cd "${ROOT}"
 SAN_DIR="${BUILD_DIR}-asan"
+SAN_SUITES="test_compaction test_stream test_interval_store test_recovery test_differential test_lazy_levels test_window"
 rm -rf "${SAN_DIR}"
 cmake -B "${SAN_DIR}" -S . -DPSS_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug > /dev/null
-cmake --build "${SAN_DIR}" -j --target test_compaction test_stream test_interval_store test_recovery test_differential
+cmake --build "${SAN_DIR}" -j --target ${SAN_SUITES}
 cd "${SAN_DIR}"
-UBSAN_OPTIONS=halt_on_error=1 ./test_compaction > /dev/null
-UBSAN_OPTIONS=halt_on_error=1 ./test_stream > /dev/null
-UBSAN_OPTIONS=halt_on_error=1 ./test_interval_store > /dev/null
-UBSAN_OPTIONS=halt_on_error=1 ./test_recovery > /dev/null
-UBSAN_OPTIONS=halt_on_error=1 ./test_differential > /dev/null
-echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/differential suites)"
+for suite in ${SAN_SUITES}; do
+  UBSAN_OPTIONS=halt_on_error=1 "./${suite}" > /dev/null
+done
+echo "sanitizers: OK (ASan+UBSan clean on ${SAN_SUITES})"
 
 # ThreadSanitizer pass over the concurrent surface: the MPSC rings, the
 # producer handles, the shutdown gate and the engine/ingest suites that

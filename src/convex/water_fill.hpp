@@ -82,8 +82,8 @@ struct UniformFill {
 /// Total work the window can absorb at own-speed exactly `speed`
 /// (the Z(s) above); used by tests and the rejection rule. For the
 /// sub-linear screened evaluation of this quantity on wide windows see
-/// convex::CurveSegmentTree (wired through core::CurveCache and selected
-/// by PdOptions::windowed) — it brackets this exact sum with certified
+/// convex::CurveSegmentTree (wired through core::CurveCache as the
+/// schedulers' screen) — it brackets this exact sum with certified
 /// bounds and defers to these scans whenever the bounds are inconclusive.
 [[nodiscard]] double window_capacity(const model::WorkAssignment& assignment,
                                      const model::TimePartition& partition,

@@ -13,8 +13,7 @@ void CurveCache::reset() {
   out_.clear();
   tree_.clear();
   stats_ = Stats{};
-  // Lazy state goes too (a recycled scheduler must not replay stale
-  // levels); the enable flag itself is the scheduler's mode and survives.
+  // Lazy state goes too: a recycled scheduler must not replay stale levels.
   boundary_was_new_ = false;
   pending_.clear();
   extent_set_ = false;
@@ -53,7 +52,7 @@ void CurveCache::on_compacted(
   // ever veto the fast path.)
   offgrid_.erase(offgrid_.begin(), offgrid_.lower_bound(frontier));
   // Reconcile rebirths now so the log can be truncated; between
-  // compactions the windowed query path drains it incrementally.
+  // compactions the screening query path drains it incrementally.
   sync_recycled(store);
   store.clear_recycled_births();
   recycled_cursor_ = 0;
@@ -103,12 +102,11 @@ bool is_pow2(double d) {
 }  // namespace
 
 void CurveCache::before_boundary(model::IntervalStore& store, double t) {
-  if (!lazy_enabled_) return;
   boundary_was_new_ = !store.has_boundary(t);
   if (!boundary_was_new_ || pending_.empty()) return;
   // A new boundary strictly inside a pending range is about to split one
   // of its intervals: expand the annotation first, so the proportional
-  // load division sees exactly the loads the eager engine would.
+  // load division sees exactly the loads an eager commit would leave.
   auto it = pending_.upper_bound(t);
   if (it == pending_.begin()) return;
   --it;
@@ -116,7 +114,7 @@ void CurveCache::before_boundary(model::IntervalStore& store, double t) {
 }
 
 void CurveCache::after_boundary(const model::IntervalStore& store, double t) {
-  if (!lazy_enabled_ || !boundary_was_new_) return;
+  if (!boundary_was_new_) return;
   boundary_was_new_ = false;
   observe_boundary(store, t);
 }
@@ -175,7 +173,7 @@ void CurveCache::classify_boundary(double t) {
 bool CurveCache::lazy_virgin_uniform(const model::IntervalStore& store,
                                      double t0, double t1, std::size_t count,
                                      double* unit) {
-  if (!lazy_enabled_ || grid_dead_ || grid_unit_ == 0.0) return false;
+  if (grid_dead_ || grid_unit_ == 0.0) return false;
   if (extent_set_ && !(t1 <= extent_lo_ || t0 >= extent_hi_)) return false;
   auto it = offgrid_.lower_bound(t0);
   if (it != offgrid_.end() && *it <= t1) return false;
@@ -199,7 +197,6 @@ void CurveCache::lazy_commit(double t0, double t1, model::JobId job,
 }
 
 void CurveCache::note_commit_extent(double t0, double t1) {
-  if (!lazy_enabled_) return;
   if (!extent_set_) {
     extent_set_ = true;
     extent_lo_ = t0;
@@ -225,7 +222,7 @@ void CurveCache::materialize(model::IntervalStore& store,
   // The range's boundaries still exist (boundaries are never removed) and
   // none was inserted inside it while pending (before_boundary expands
   // first), so this walk visits exactly the commit-time intervals and
-  // replays the eager engine's set_load loop.
+  // replays the exact path's eager set_load loop.
   const model::IntervalRange window = store.range(t0, p.t1);
   model::IntervalStore::Handle h = store.handle_at(window.first);
   for (std::size_t i = 0; i < window.size(); ++i) {
@@ -295,7 +292,7 @@ std::span<const util::PiecewiseLinear* const> CurveCache::curves_for(
     model::IntervalRange window, model::JobId ignore_job) {
   PSS_REQUIRE(window.last <= store.num_intervals(), "window exceeds store");
   PSS_REQUIRE(window.first < window.last, "empty placement window");
-  if (lazy_enabled_ && !pending_.empty()) {
+  if (!pending_.empty()) {
     // Contract: exact decision arithmetic must never read a range with an
     // unmaterialized annotation — the cached/served curves would describe
     // loads that are not there yet. A trip here is a missed

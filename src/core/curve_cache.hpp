@@ -51,7 +51,7 @@ class CurveCache {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  // -- windowed screening (convex::CurveSegmentTree) ------------------------
+  // -- screening (convex::CurveSegmentTree) ---------------------------------
   //
   // The cache owns the segment tree over per-interval insertion curves and
   // is the contract point for keeping it honest: schedulers report every
@@ -61,7 +61,7 @@ class CurveCache {
   // curves_for serves (so a leaf rebuild warms the cache and vice versa).
 
   /// Certified bounds on sum_{k in window} z_k(speed) over the store's
-  /// intervals — the screening query behind PdOptions::windowed. The
+  /// intervals — the screening query of the schedulers' screen. The
   /// bounds describe the *all-loads* curves: a caller excluding a job must
   /// ensure that job holds no load in the window (true for any job id
   /// never accepted before, which the schedulers track).
@@ -71,7 +71,7 @@ class CurveCache {
 
   /// Reports a committed load change on interval `h` so the tree's
   /// summaries recombine before the next screening query. Must follow
-  /// every IntervalStore::set_load when the windowed screen is in use.
+  /// every IntervalStore::set_load.
   void note_load_changed(model::IntervalStore::Handle h) {
     tree_.mark_dirty(h);
   }
@@ -99,7 +99,7 @@ class CurveCache {
   void on_compacted(model::IntervalStore& store, double frontier,
                     const std::vector<model::IntervalStore::Handle>& freed);
 
-  // -- lazy water-level annotations (PdOptions::lazy) -----------------------
+  // -- lazy water-level annotations ------------------------------------------
   //
   // An accepted virgin-uniform-window job is recorded as ONE range
   // annotation {[t0, t1), job, amount, first_amount} instead of a load
@@ -109,7 +109,7 @@ class CurveCache {
   // needs the eager state of that range:
   //   * before_boundary: a new boundary is about to split an interval
   //     inside the range (materializing first keeps the proportional split
-  //     arithmetic bitwise identical to the eager engine);
+  //     arithmetic bitwise identical to an eager commit's);
   //   * lazy_materialize_range: an arrival's exact fallback (or the
   //     fractional screen) is about to read the range's loads;
   //   * lazy_flush: a snapshot/energy/schedule consumer needs everything.
@@ -119,7 +119,7 @@ class CurveCache {
   //
   // The segment tree is deliberately NOT told about pending annotations:
   // pending load only *shrinks* true capacity, so the stale (virgin)
-  // bounds over-estimate and the windowed reject certificate stays sound.
+  // bounds over-estimate and the screen's reject certificate stays sound.
   // The fractional full-service certificate (lo >= work) is the opposite
   // direction, so fractional PD materializes the window *before* its
   // screen. curves_for enforces the contract with a hard check.
@@ -129,15 +129,9 @@ class CurveCache {
     long long materializations = 0;  // annotations expanded into loads
   };
 
-  /// Turns the lazy bookkeeping on (schedulers with PdOptions::lazy). The
-  /// flag survives reset() so a recycled scheduler keeps its mode; reset()
-  /// clears all lazy *state* (pending annotations, extent, grid).
-  void enable_lazy(bool on) { lazy_enabled_ = on; }
-  [[nodiscard]] bool lazy_enabled() const { return lazy_enabled_; }
-
   /// Hook before IntervalStore::ensure_boundary(t): if t is new and falls
   /// strictly inside a pending range, materialize that annotation so the
-  /// upcoming split divides real loads exactly as the eager engine does.
+  /// upcoming split divides real loads exactly as after an eager commit.
   void before_boundary(model::IntervalStore& store, double t);
   /// Hook after ensure_boundary(t): classifies the new boundary against
   /// the detected uniform grid (see lazy_virgin_uniform).
@@ -157,7 +151,7 @@ class CurveCache {
                    double first_amount);
 
   /// Extends the committed-load extent (eager commits must report here so
-  /// the virgin test stays sound when lazy mode is on).
+  /// the virgin test stays sound).
   void note_commit_extent(double t0, double t1);
 
   /// Any pending annotation intersecting [t0, t1)?
@@ -210,7 +204,7 @@ class CurveCache {
   std::vector<Entry> entries_;  // slab addressed by store handle
   std::vector<util::PiecewiseLinear> scratch_;  // ignore_job-tainted curves
   std::vector<const util::PiecewiseLinear*> out_;  // curves_for result buffer
-  convex::CurveSegmentTree tree_;  // windowed screening summaries
+  convex::CurveSegmentTree tree_;  // screening summaries
   // Query-scoped context for the tree's curve callback (kept as members so
   // the lambda captures only `this` and stays heap-free).
   const model::IntervalStore* tree_store_ = nullptr;
@@ -231,7 +225,6 @@ class CurveCache {
                    std::map<double, Pending>::iterator it);
   void sync_recycled(const model::IntervalStore& store);
 
-  bool lazy_enabled_ = false;
   bool boundary_was_new_ = false;  // before_/after_boundary handshake
   std::map<double, Pending> pending_;  // disjoint ranges, keyed by t0
   // Committed-load time extent (eager + lazy); the virgin test is

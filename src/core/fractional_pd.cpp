@@ -16,21 +16,18 @@
 namespace pss::core {
 
 FractionalPdResult run_fractional_pd(const model::Instance& instance,
-                                     FractionalPdOptions options) {
+                                     std::optional<double> delta) {
   PSS_REQUIRE(instance.num_jobs() > 0, "empty instance");
   const model::Machine machine = instance.machine();
   const double alpha = machine.alpha;
-  const double delta = options.delta.value_or(1.0);
+  const double price = delta.value_or(1.0);
   const model::PowerFunction power(alpha);
 
   OnlineState state;
-  // Windowed screening state (see FractionalPdOptions::windowed). Jobs are
-  // processed once each with instance-unique ids, so the all-loads bounds
-  // always describe the arriving job's exclusion view exactly.
-  const bool windowed = options.windowed;
-  const bool lazy = options.lazy;
+  // Jobs are processed once each with instance-unique ids, so the screen's
+  // all-loads bounds always describe the arriving job's exclusion view
+  // exactly.
   CurveCache cache;
-  cache.enable_lazy(lazy);
   FractionalPdResult result;
   result.fraction.assign(instance.num_jobs(), 0.0);
   result.lambda.assign(instance.num_jobs(), 0.0);
@@ -43,17 +40,16 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
     // unsound against bounds that miss pending load, so expand any
     // annotation intersecting this window before screening. Reject-side
     // staleness would be sound, but fractional needs both directions.
-    if (lazy)
-      cache.lazy_materialize_range(state.store, job.release, job.deadline);
-    const double s_cap = rejection_speed(job.value, job.work, alpha, delta);
+    cache.lazy_materialize_range(state.store, job.release, job.deadline);
+    const double s_cap = rejection_speed(job.value, job.work, alpha, price);
 
     // Certified shortcuts off the segment-tree bounds; anything
     // inconclusive computes the capacity with the exact scan.
     // A zero-value job has s_cap == 0 (finite): skip the screen — the
     // tree requires a positive speed — and let the exact scan return its
-    // zero capacity as on the unscreened engine.
+    // zero capacity as the oracle does.
     bool full_certified = false;
-    if (windowed && std::isfinite(s_cap) && s_cap > 0.0) {
+    if (std::isfinite(s_cap) && s_cap > 0.0) {
       const convex::CapacityBounds bounds = cache.window_capacity_bounds(
           state.store, machine.num_processors, window, s_cap);
       if (bounds.hi <= 1e-12 * job.work) {
@@ -70,7 +66,7 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
       } else {
         ++result.window_exact;
       }
-    } else if (windowed) {
+    } else {
       ++result.window_exact;
     }
 
@@ -78,7 +74,7 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
     // level and placement collapse to O(log n) arithmetic and the commit
     // becomes one range annotation (see PdScheduler's lazy fast path).
     double unit = 0.0;
-    if (lazy && s_cap > 0.0 &&
+    if (s_cap > 0.0 &&
         cache.lazy_virgin_uniform(state.store, job.release, job.deadline,
                                   window.size(), &unit)) {
       const double capacity =
@@ -100,7 +96,7 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
       result.lambda[std::size_t(job.id)] =
           target < job.work
               ? job.value
-              : delta * job.work * power.derivative(fill.level);
+              : price * job.work * power.derivative(fill.level);
       continue;
     }
 
@@ -123,24 +119,22 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
     model::IntervalStore::Handle h = state.store.handle_at(window.first);
     for (std::size_t i = 0; i < window.size(); ++i) {
       state.store.set_load(h, job.id, placement->amounts[i]);
-      if (windowed) cache.note_load_changed(h);
+      cache.note_load_changed(h);
       h = state.store.next_handle(h);
     }
-    if (lazy) cache.note_commit_extent(job.release, job.deadline);
+    cache.note_commit_extent(job.release, job.deadline);
     result.fraction[std::size_t(job.id)] = target / job.work;
     // Full service below the cap fixes lambda at the realized marginal;
     // partial service means the marginal hit the price v_j.
     result.lambda[std::size_t(job.id)] =
         target < job.work ? job.value
-                          : delta * job.work * power.derivative(
+                          : price * job.work * power.derivative(
                                                    placement->speed);
   }
 
-  if (lazy) {
-    cache.lazy_flush(state.store);
-    result.lazy_commits = cache.lazy_stats().commits;
-    result.lazy_materializations = cache.lazy_stats().materializations;
-  }
+  cache.lazy_flush(state.store);
+  result.lazy_commits = cache.lazy_stats().commits;
+  result.lazy_materializations = cache.lazy_stats().materializations;
   result.partition = state.store.snapshot_partition();
   result.assignment = state.store.snapshot_assignment();
   result.schedule = chen::realize_assignment(

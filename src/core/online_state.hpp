@@ -27,10 +27,10 @@ struct OnlineState {
 
   /// Makes t a boundary, splitting committed loads proportionally when t
   /// falls inside an existing interval. A passed CurveCache gets its lazy
-  /// water-level hooks (no-ops unless the cache has lazy mode on): before —
-  /// materialize a pending annotation the new boundary would split; after —
-  /// classify the new boundary against the uniform grid. Handle-keyed cache
-  /// entries survive refinements by construction.
+  /// water-level hooks: before — materialize a pending annotation the new
+  /// boundary would split; after — classify the new boundary against the
+  /// uniform grid. Handle-keyed cache entries survive refinements by
+  /// construction.
   void ensure_boundary(double t, CurveCache* cache = nullptr) {
     if (cache) cache->before_boundary(store, t);
     switch (store.ensure_boundary(t)) {

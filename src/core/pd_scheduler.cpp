@@ -17,13 +17,10 @@ namespace pss::core {
 PdScheduler::PdScheduler(model::Machine machine, PdOptions options)
     : machine_(machine),
       delta_(options.delta.value_or(optimal_delta(machine.alpha))),
-      windowed_(options.windowed),
-      lazy_(options.lazy),
       record_decisions_(options.record_decisions) {
   PSS_REQUIRE(machine_.num_processors >= 1, "need at least one processor");
   PSS_REQUIRE(machine_.alpha > 1.0, "alpha must exceed 1");
   PSS_REQUIRE(delta_ > 0.0, "delta must be positive");
-  cache_.enable_lazy(lazy_);
 }
 
 void PdScheduler::advance_to(double t, bool compact) {
@@ -46,7 +43,7 @@ void PdScheduler::compact_before(double frontier) {
   // Lazy annotations reaching behind the frontier must land as real loads
   // first, so the retired-energy walk below sees them and the split
   // arithmetic never needs a retired interval again.
-  if (lazy_) cache_.lazy_materialize_range(store, -util::kInf, frontier);
+  cache_.lazy_materialize_range(store, -util::kInf, frontier);
   // Retired prefix energy, accumulated left to right with the same
   // skip-empty order assignment_energy uses: planned_energy() continuing
   // from this accumulator reproduces the uncompacted sum bitwise.
@@ -67,21 +64,18 @@ void PdScheduler::compact_before(double frontier) {
   // An accepted id whose whole window is behind the frontier holds no load
   // in any live interval, so the all-loads screen is valid for it again;
   // dropping the record bounds the map by the live window.
-  if (windowed_) {
-    for (auto it = accepted_ids_.begin(); it != accepted_ids_.end();) {
-      if (it->second <= frontier)
-        it = accepted_ids_.erase(it);
-      else
-        ++it;
-    }
+  for (auto it = accepted_ids_.begin(); it != accepted_ids_.end();) {
+    if (it->second <= frontier)
+      it = accepted_ids_.erase(it);
+    else
+      ++it;
   }
 }
 
 void PdScheduler::reset() {
   state_ = OnlineState{};
-  // reset() drops all lazy state (pending annotations, extent, grid) but
-  // keeps the lazy mode flag — a recycled session must neither replay
-  // stale water levels nor silently change engine variant.
+  // reset() drops all lazy state (pending annotations, extent, grid) — a
+  // recycled session must not replay stale water levels.
   cache_.reset();
   accepted_ids_.clear();
   decisions_.clear();
@@ -111,15 +105,15 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   const auto window = state_.store.range(job.release, job.deadline);
   const double s_reject = rejection_speed(job.value, job.work, alpha, delta_);
 
-  // Windowed screen: certified capacity bounds from the segment tree. A
-  // certified rejection skips the O(window) scan entirely; anything
-  // inconclusive (or a re-arriving accepted id, whose committed loads the
-  // all-loads bounds cannot exclude) falls through to the exact water fill
-  // below, so the decision stream is bitwise independent of `windowed`.
+  // Screen: certified capacity bounds from the segment tree. A certified
+  // rejection skips the O(window) scan entirely; anything inconclusive (or
+  // a re-arriving accepted id, whose committed loads the all-loads bounds
+  // cannot exclude) falls through to the exact water fill below, so the
+  // decision stream is bitwise that of the unscreened oracle.
   // s_reject > 0 also keeps a zero-value job (s_reject == 0, finite) off
   // the screen, preserving the exact path's behavior for it verbatim.
   bool screened_reject = false;
-  if (windowed_ && std::isfinite(s_reject) && s_reject > 0.0 &&
+  if (std::isfinite(s_reject) && s_reject > 0.0 &&
       accepted_ids_.find(job.id) == accepted_ids_.end()) {
     const convex::CapacityBounds bounds = cache_.window_capacity_bounds(
         state_.store, machine_.num_processors, window, s_reject);
@@ -129,7 +123,7 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
     } else {
       ++counters_.window_exact;
     }
-  } else if (windowed_) {
+  } else {
     ++counters_.window_exact;
   }
 
@@ -139,7 +133,7 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   double unit = 0.0;
   if (screened_reject) {
     // Decided above without touching the window.
-  } else if (lazy_ && s_reject > 0.0 &&
+  } else if (s_reject > 0.0 &&
              cache_.lazy_virgin_uniform(state_.store, job.release,
                                         job.deadline, window.size(), &unit)) {
     // Certified closed-form replay: the window is provably `size` empty
@@ -157,8 +151,7 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   } else {
     // The exact fill is about to read the window's loads: expand any
     // annotation intersecting it so it sees the eager state.
-    if (lazy_)
-      cache_.lazy_materialize_range(state_.store, job.release, job.deadline);
+    cache_.lazy_materialize_range(state_.store, job.release, job.deadline);
     const auto curves = cache_.curves_for(
         state_.store, machine_.num_processors, window, job.id);
     const auto placement =
@@ -168,10 +161,10 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
       model::IntervalStore::Handle h = state_.store.handle_at(window.first);
       for (std::size_t i = 0; i < window.size(); ++i) {
         state_.store.set_load(h, job.id, placement->amounts[i]);
-        if (windowed_) cache_.note_load_changed(h);
+        cache_.note_load_changed(h);
         h = state_.store.next_handle(h);
       }
-      if (lazy_) cache_.note_commit_extent(job.release, job.deadline);
+      cache_.note_commit_extent(job.release, job.deadline);
     }
   }
 
@@ -183,10 +176,8 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
     decision.lambda = delta_ * job.work * power.derivative(*accepted_speed);
     decision.planned_energy =
         job.work * util::pos_pow(*accepted_speed, alpha - 1.0);
-    if (windowed_) {
-      double& dl = accepted_ids_[job.id];
-      dl = std::max(dl, job.deadline);
-    }
+    double& dl = accepted_ids_[job.id];
+    dl = std::max(dl, job.deadline);
   } else {
     // Line 12(b): the marginal hit v_j first; nothing is committed and
     // lambda = v.
@@ -209,7 +200,6 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
 }
 
 void PdScheduler::flush_lazy() const {
-  if (!lazy_) return;
   auto* self = const_cast<PdScheduler*>(this);
   self->cache_.lazy_flush(self->state_.store);
   self->counters_.lazy_materializations =

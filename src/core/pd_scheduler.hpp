@@ -47,29 +47,6 @@ namespace pss::core {
 struct PdOptions {
   /// PD's parameter; nullopt selects the paper-optimal alpha^(1-alpha).
   std::optional<double> delta;
-  /// Screen wide-window arrivals through the convex::CurveSegmentTree
-  /// capacity bounds before touching the window: a rejection the bounds
-  /// certify costs O(log n · log knots) instead of O(window), and an
-  /// inconclusive screen falls back to the exact water fill — so every
-  /// decision stays bitwise identical to the windowed=false engine and to
-  /// the test-only reference oracle (tests/test_differential.cpp).
-  /// Accepted arrivals are Ω(window) regardless (they commit a load into
-  /// every window interval), so the screen targets the rejection path —
-  /// the case where a heavy-lookahead arrival would pay O(window) for
-  /// nothing.
-  bool windowed = true;
-  /// Lazy water-level accepts. An arrival whose window is a certified
-  /// *virgin uniform* range — all interval lengths bitwise equal to the
-  /// detected power-of-two grid unit, no committed or pending load — is
-  /// decided by the O(log n) closed-form replay convex::water_fill_uniform
-  /// and, if accepted, recorded as a single range annotation in the
-  /// CurveCache instead of one load write per window interval. Annotations
-  /// materialize into ordinary loads on first touch (split, exact
-  /// fallback, snapshot), so every observable decision/load/energy is
-  /// bitwise identical to the eager engine (lazy=false) and to the oracle.
-  /// This is what makes accept-heavy wide-window streams sub-linear per
-  /// accept (bench_accept_scale / BENCH_accept.json).
-  bool lazy = true;
   /// Keep the per-arrival decision log behind decisions() (and the
   /// rejected marks of final_schedule()). The log grows one entry per
   /// arrival forever, so indefinitely-running serving layers turn it off —
@@ -87,7 +64,7 @@ struct PdCounters {
   long long curve_cache_hits = 0;      // curves served without rebuilding
   long long curve_cache_rebuilds = 0;  // curves (re)built from loads
   long long window_prunes = 0;   // rejections certified by the segment tree
-  long long window_exact = 0;    // windowed arrivals that took the exact path
+  long long window_exact = 0;    // arrivals the screen left to the exact path
   long long lazy_fast_path = 0;  // arrivals decided by the closed-form replay
   long long lazy_commits = 0;           // accepts recorded as annotations
   long long lazy_materializations = 0;  // annotations expanded into loads
@@ -179,12 +156,22 @@ struct ArrivalDecision {
 /// assignment (Section 3).
 ///
 /// One engine: the online state lives in the stable-handle
-/// model::IntervalStore (O(log n) Section-3 refinements), every arrival is
-/// placed through the CurveCache insertion curves and the lazy-sum water
-/// fill, and the two certified fast paths (PdOptions::windowed / ::lazy)
-/// only ever skip work whose outcome they can prove. The stateless
-/// contiguous reference lives in tests/support/reference_pd as the
-/// test-only oracle every differential suite compares against.
+/// model::IntervalStore (O(log n) Section-3 refinements), and every arrival
+/// is placed through the CurveCache insertion curves and the lazy-sum water
+/// fill. Two certified fast paths always run; each only skips work whose
+/// outcome it can prove, so the decision stream is bitwise identical to the
+/// stateless contiguous reference in tests/support/reference_pd, the
+/// test-only oracle every differential suite compares against:
+///   * the screen — an arrival is first checked against the
+///     convex::CurveSegmentTree capacity bounds; a rejection the bounds
+///     certify costs O(log n · log knots) instead of O(window), and an
+///     inconclusive screen falls through to the exact water fill;
+///   * lazy water levels — an arrival whose window is a certified virgin
+///     uniform range (all lengths bitwise equal to the detected
+///     power-of-two grid unit, no committed or pending load) is decided by
+///     the closed-form replay convex::water_fill_uniform and, if accepted,
+///     recorded as one CurveCache range annotation that materializes into
+///     ordinary loads on first touch (bench_accept_scale).
 class PdScheduler {
  public:
   PdScheduler(model::Machine machine, PdOptions options = {});
@@ -204,7 +191,7 @@ class PdScheduler {
   void advance_to(double t, bool compact = false);
 
   /// Returns the scheduler to its freshly-constructed state (machine,
-  /// delta and the windowed/lazy mode are kept). The session-reuse entry
+  /// delta and record_decisions are kept). The session-reuse entry
   /// point for the stream engine: a pooled scheduler object is reset and
   /// handed to the next stream instead of being destroyed and reallocated.
   void reset();
@@ -223,8 +210,6 @@ class PdScheduler {
     return assignment_snapshot_;
   }
   [[nodiscard]] double delta() const { return delta_; }
-  [[nodiscard]] bool windowed() const { return windowed_; }
-  [[nodiscard]] bool lazy() const { return lazy_; }
 
   /// Total energy of the committed plan (sum of interval P_k), including
   /// the energy of intervals retired by compaction. Bitwise identical to
@@ -274,13 +259,11 @@ class PdScheduler {
 
   model::Machine machine_;
   double delta_;
-  bool windowed_;
-  bool lazy_;
   bool record_decisions_;
   OnlineState state_;
   CurveCache cache_;
-  // Job ids this scheduler has accepted, with the latest deadline seen
-  // (windowed mode only). The segment tree bounds describe the all-loads
+  // Job ids this scheduler has accepted, with the latest deadline seen.
+  // The segment tree bounds describe the all-loads
   // curves, so the screen is valid only for a job with no committed load
   // in the window; a re-arriving accepted id skips the screen and takes
   // the exact re-placement path. Compaction erases records whose deadline

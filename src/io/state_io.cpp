@@ -196,8 +196,6 @@ void save_scheduler(std::ostream& os, const core::PdScheduler& s) {
   write_i64(os, s.machine_.num_processors);
   write_f64(os, s.machine_.alpha);
   write_f64(os, s.delta_);
-  write_bool(os, s.windowed_);
-  write_bool(os, s.lazy_);
   write_bool(os, s.record_decisions_);
 
   write_bool(os, s.first_arrival_);
@@ -252,8 +250,6 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
               "checkpoint machine mismatch");
   PSS_REQUIRE(read_f64(is) == s.machine_.alpha, "checkpoint alpha mismatch");
   PSS_REQUIRE(read_f64(is) == s.delta_, "checkpoint delta mismatch");
-  PSS_REQUIRE(read_bool(is) == s.windowed_, "checkpoint windowed mismatch");
-  PSS_REQUIRE(read_bool(is) == s.lazy_, "checkpoint lazy mismatch");
   PSS_REQUIRE(read_bool(is) == s.record_decisions_,
               "checkpoint record_decisions mismatch");
 

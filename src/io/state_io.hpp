@@ -67,9 +67,9 @@ void load_counters(std::istream& is, core::PdCounters& c);
 void save_scheduler(std::ostream& os, const core::PdScheduler& s);
 
 /// Restores a blob written by save_scheduler into `s`, which must have
-/// been constructed with the same machine, delta and mode flags (checked;
-/// throws std::invalid_argument on mismatch or a truncated stream). Any
-/// prior state of `s` is discarded.
+/// been constructed with the same machine, delta and record_decisions
+/// flag (checked; throws std::invalid_argument on mismatch or a truncated
+/// stream). Any prior state of `s` is discarded.
 void load_scheduler(std::istream& is, core::PdScheduler& s);
 
 }  // namespace pss::io

@@ -251,15 +251,17 @@ void StreamEngine::stop() {
 // ------------------------------------------------------ checkpoint/restore
 
 namespace {
-// "PSSCKPT5" as a little-endian u64 — version byte last. (v2 added the
+// "PSSCKPT6" as a little-endian u64 — version byte last. (v2 added the
 // admission/late-reject tallies to the per-shard stats block; v3 added the
 // WAL checkpoint-mark stamp for crash recovery; v4 added a backend-tuner
 // config byte and session block; v5 dropped them again together with the
-// per-session backend selector bytes — one engine, no backend switching.)
-constexpr std::uint64_t kCheckpointMagic = 0x3554504B43535350ull;
-// "PSSSHRD3": a single-shard image (checkpoint_shard / restore_shard),
-// version-bumped in lockstep with the v5 session-blob format.
-constexpr std::uint64_t kShardMagic = 0x3344524853535350ull;
+// per-session backend selector bytes — one engine, no backend switching;
+// v6 dropped the windowed/lazy config and session bytes — the screen and
+// lazy water levels always run.)
+constexpr std::uint64_t kCheckpointMagic = 0x3654504B43535350ull;
+// "PSSSHRD4": a single-shard image (checkpoint_shard / restore_shard),
+// version-bumped in lockstep with the v6 session-blob format.
+constexpr std::uint64_t kShardMagic = 0x3444524853535350ull;
 }  // namespace
 
 bool StreamEngine::quiesce_producers() {
@@ -286,8 +288,6 @@ void StreamEngine::write_config(std::ostream& os) const {
   io::write_f64(os, options_.machine.alpha);
   io::write_u8(os, options_.scheduler.delta.has_value() ? 1 : 0);
   io::write_f64(os, options_.scheduler.delta.value_or(0.0));
-  io::write_u8(os, options_.scheduler.windowed ? 1 : 0);
-  io::write_u8(os, options_.scheduler.lazy ? 1 : 0);
   io::write_u8(os, options_.record_decisions ? 1 : 0);
 }
 
@@ -302,10 +302,8 @@ void StreamEngine::check_config(std::istream& is) const {
   PSS_REQUIRE(has_delta == options_.scheduler.delta.has_value() &&
                   delta == options_.scheduler.delta.value_or(0.0),
               "checkpoint delta mismatch");
-  PSS_REQUIRE((io::read_u8(is) != 0) == options_.scheduler.windowed &&
-                  (io::read_u8(is) != 0) == options_.scheduler.lazy &&
-                  (io::read_u8(is) != 0) == options_.record_decisions,
-              "checkpoint mode flags mismatch");
+  PSS_REQUIRE((io::read_u8(is) != 0) == options_.record_decisions,
+              "checkpoint record_decisions mismatch");
 }
 
 void StreamEngine::write_shard_state(std::ostream& os, Shard& shard) const {

@@ -381,7 +381,8 @@ class StreamEngine {
   bool quiesce_producers();
   void drain_shard(Shard& shard);
   /// Shared config block of the checkpoint formats (shard count, machine,
-  /// scheduler mode flags) — what restore compatibility is checked against.
+  /// delta, record_decisions) — what restore compatibility is checked
+  /// against.
   void write_config(std::ostream& os) const;
   void check_config(std::istream& is) const;
   void write_shard_state(std::ostream& os, Shard& shard) const;

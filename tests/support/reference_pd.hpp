@@ -80,7 +80,7 @@ class ReferencePd {
 };
 
 /// Stateless fractional PD over the contiguous state; delta = nullopt
-/// selects 1, as in core::FractionalPdOptions.
+/// selects 1, as in core::run_fractional_pd.
 [[nodiscard]] core::FractionalPdResult run_fractional_pd(
     const model::Instance& instance, std::optional<double> delta = {});
 

@@ -1,7 +1,7 @@
 // Horizon compaction and checkpoint/restore (the flat-memory serving
 // contract):
 //   * compacted vs uncompacted twins commit bitwise-identical decisions
-//     and energies in every {windowed}x{lazy} engine position;
+//     and energies, both bitwise equal to the test-only reference oracle;
 //   * a checkpoint written mid-soak (with retired energy, accepted-id
 //     records and pending lazy annotations in flight) restores into a
 //     fresh scheduler that replays the remaining traffic bitwise
@@ -25,6 +25,7 @@
 #include "io/state_io.hpp"
 #include "stream/engine.hpp"
 #include "model/job.hpp"
+#include "support/reference_pd.hpp"
 #include "util/math.hpp"
 #include "util/random.hpp"
 
@@ -38,21 +39,6 @@ using model::Job;
 using model::Machine;
 
 const Machine kMachine{2, 2.5};
-
-// The {windowed} x {lazy} square of engine positions.
-constexpr int kPositions = 4;
-
-PdOptions position_options(int mask) {
-  PdOptions o;
-  o.windowed = (mask & 1) != 0;
-  o.lazy = (mask & 2) != 0;
-  return o;
-}
-
-std::string position_name(int mask) {
-  return std::string("windowed=") + ((mask & 1) ? "1" : "0") +
-         " lazy=" + ((mask & 2) ? "1" : "0");
-}
 
 // Steady-state serving traffic: every tick carries a frontier job on the
 // integer grid (the lazy fast path's bread and butter), plus occasional
@@ -95,14 +81,19 @@ void expect_decision_eq(const ArrivalDecision& a, const ArrivalDecision& b,
 // Feeds `jobs` tick by tick into both schedulers, advancing the clock once
 // per tick (`a` with compaction, `b` without), asserting bitwise-equal
 // decisions throughout and bitwise-equal energies every `energy_every`.
+// A passed oracle (which never compacts) is fed in lockstep and held to
+// the same decisions and energies.
 void run_twins(PdScheduler& a, PdScheduler& b, const std::vector<Job>& jobs,
-               int ticks, int energy_every) {
+               int ticks, int energy_every,
+               reference::ReferencePd* oracle = nullptr) {
   std::size_t j = 0;
   for (int t = 0; t < ticks; ++t) {
     while (j < jobs.size() && jobs[j].release < double(t + 1)) {
+      const std::string what = "job " + std::to_string(jobs[j].id);
       const ArrivalDecision da = a.on_arrival(jobs[j]);
       const ArrivalDecision db = b.on_arrival(jobs[j]);
-      expect_decision_eq(da, db, "job " + std::to_string(jobs[j].id));
+      expect_decision_eq(da, db, what);
+      if (oracle) expect_decision_eq(da, oracle->on_arrival(jobs[j]), what);
       if (::testing::Test::HasFatalFailure()) return;
       ++j;
     }
@@ -110,9 +101,16 @@ void run_twins(PdScheduler& a, PdScheduler& b, const std::vector<Job>& jobs,
     b.advance_to(double(t + 1), /*compact=*/false);
     if (t % energy_every == energy_every - 1) {
       ASSERT_EQ(a.planned_energy(), b.planned_energy()) << "tick " << t;
+      if (oracle) {
+        ASSERT_EQ(a.planned_energy(), oracle->planned_energy())
+            << "tick " << t;
+      }
     }
   }
   ASSERT_EQ(a.planned_energy(), b.planned_energy());
+  if (oracle) {
+    ASSERT_EQ(a.planned_energy(), oracle->planned_energy());
+  }
 }
 
 // ------------------------------------------------- compaction differential
@@ -120,18 +118,19 @@ void run_twins(PdScheduler& a, PdScheduler& b, const std::vector<Job>& jobs,
 TEST(Compaction, DifferentialCubeCompactedVsUncompacted) {
   const int ticks = 120;
   const auto jobs = steady_workload(ticks, 2026);
-  for (int mask = 0; mask < kPositions; ++mask) {
-    SCOPED_TRACE(position_name(mask));
-    PdScheduler compacted(kMachine, position_options(mask));
-    PdScheduler plain(kMachine, position_options(mask));
-    run_twins(compacted, plain, jobs, ticks, 16);
-    if (::testing::Test::HasFatalFailure()) return;
-    // Compaction actually ran and the live window stayed small.
-    EXPECT_GT(compacted.counters().compactions, 0);
-    EXPECT_GT(compacted.counters().compacted_intervals, 0);
-    EXPECT_LT(compacted.live_intervals(), plain.live_intervals());
-    EXPECT_GT(compacted.retired_energy(), 0.0);
-  }
+  PdScheduler compacted(kMachine);
+  PdScheduler plain(kMachine);
+  reference::ReferencePd oracle(kMachine);
+  run_twins(compacted, plain, jobs, ticks, 16, &oracle);
+  if (::testing::Test::HasFatalFailure()) return;
+  // Compaction actually ran and the live window stayed small.
+  EXPECT_GT(compacted.counters().compactions, 0);
+  EXPECT_GT(compacted.counters().compacted_intervals, 0);
+  EXPECT_LT(compacted.live_intervals(), plain.live_intervals());
+  EXPECT_GT(compacted.retired_energy(), 0.0);
+  // Both fast paths engaged on this traffic.
+  EXPECT_GT(compacted.counters().lazy_commits, 0);
+  EXPECT_GT(compacted.counters().window_prunes, 0);
 }
 
 TEST(Compaction, FullRetirementPreservesEnergyBitwise) {
@@ -273,61 +272,57 @@ TEST(Checkpoint, RoundTripAcrossCubeMidSoak) {
   const int ticks = 96;
   const int cut = 48;  // checkpoint mid-stream, state in full flight
   const auto jobs = steady_workload(ticks, 31);
-  for (int mask = 0; mask < kPositions; ++mask) {
-    SCOPED_TRACE(position_name(mask));
-    PdScheduler live(kMachine, position_options(mask));
-    std::size_t j = 0;
-    for (int t = 0; t < cut; ++t) {
-      while (j < jobs.size() && jobs[j].release < double(t + 1))
-        (void)live.on_arrival(jobs[j++]);
-      live.advance_to(double(t + 1), /*compact=*/true);
-    }
+  PdScheduler live(kMachine);
+  std::size_t j = 0;
+  for (int t = 0; t < cut; ++t) {
+    while (j < jobs.size() && jobs[j].release < double(t + 1))
+      (void)live.on_arrival(jobs[j++]);
+    live.advance_to(double(t + 1), /*compact=*/true);
+  }
 
-    const std::string blob = serialize(live);
-    // Identical state serializes to identical bytes...
-    ASSERT_EQ(serialize(live), blob);
-    PdScheduler restored(kMachine, position_options(mask));
-    std::istringstream is(blob, std::ios::binary);
-    io::load_scheduler(is, restored);
-    // ...and so does the restored image.
-    ASSERT_EQ(serialize(restored), blob);
+  const std::string blob = serialize(live);
+  // Identical state serializes to identical bytes...
+  ASSERT_EQ(serialize(live), blob);
+  PdScheduler restored(kMachine);
+  std::istringstream is(blob, std::ios::binary);
+  io::load_scheduler(is, restored);
+  // ...and so does the restored image.
+  ASSERT_EQ(serialize(restored), blob);
 
-    // The restored session replays the rest of the soak bitwise.
-    for (int t = cut; t < ticks; ++t) {
-      while (j < jobs.size() && jobs[j].release < double(t + 1)) {
-        const ArrivalDecision da = live.on_arrival(jobs[j]);
-        const ArrivalDecision db = restored.on_arrival(jobs[j]);
-        expect_decision_eq(da, db, "job " + std::to_string(jobs[j].id));
-        if (::testing::Test::HasFatalFailure()) return;
-        ++j;
-      }
-      live.advance_to(double(t + 1), /*compact=*/true);
-      restored.advance_to(double(t + 1), /*compact=*/true);
+  // The restored session replays the rest of the soak bitwise.
+  for (int t = cut; t < ticks; ++t) {
+    while (j < jobs.size() && jobs[j].release < double(t + 1)) {
+      const ArrivalDecision da = live.on_arrival(jobs[j]);
+      const ArrivalDecision db = restored.on_arrival(jobs[j]);
+      expect_decision_eq(da, db, "job " + std::to_string(jobs[j].id));
+      if (::testing::Test::HasFatalFailure()) return;
+      ++j;
     }
-    ASSERT_EQ(live.planned_energy(), restored.planned_energy());
-    ASSERT_EQ(live.retired_energy(), restored.retired_energy());
-    ASSERT_EQ(live.decisions().size(), restored.decisions().size());
-    for (std::size_t i = 0; i < live.decisions().size(); ++i) {
-      ASSERT_EQ(live.decisions()[i].first, restored.decisions()[i].first);
-      expect_decision_eq(live.decisions()[i].second,
-                         restored.decisions()[i].second,
-                         "decision log " + std::to_string(i));
-    }
+    live.advance_to(double(t + 1), /*compact=*/true);
+    restored.advance_to(double(t + 1), /*compact=*/true);
+  }
+  ASSERT_EQ(live.planned_energy(), restored.planned_energy());
+  ASSERT_EQ(live.retired_energy(), restored.retired_energy());
+  ASSERT_EQ(live.decisions().size(), restored.decisions().size());
+  for (std::size_t i = 0; i < live.decisions().size(); ++i) {
+    ASSERT_EQ(live.decisions()[i].first, restored.decisions()[i].first);
+    expect_decision_eq(live.decisions()[i].second,
+                       restored.decisions()[i].second,
+                       "decision log " + std::to_string(i));
   }
 }
 
 TEST(Checkpoint, CapturesPendingLazyAnnotations) {
   // Pure frontier traffic keeps annotations pending (nothing forces a
   // materialization), so the checkpoint must carry them explicitly.
-  PdOptions o;  // defaults: indexed + lazy on
-  PdScheduler live(kMachine, o);
+  PdScheduler live(kMachine);
   for (int t = 0; t < 24; ++t) {
     (void)live.on_arrival({t, double(t), double(t) + 1.0, 0.8, util::kInf});
     live.advance_to(double(t) + 1.0, /*compact=*/true);
   }
   ASSERT_GT(live.counters().lazy_commits, 0);
   const std::string blob = serialize(live);
-  PdScheduler restored(kMachine, o);
+  PdScheduler restored(kMachine);
   std::istringstream is(blob, std::ios::binary);
   io::load_scheduler(is, restored);
   ASSERT_EQ(serialize(restored), blob);
@@ -353,20 +348,14 @@ TEST(Checkpoint, RejectsMismatchedConfigurationAndGarbage) {
   std::istringstream is1(blob, std::ios::binary);
   EXPECT_THROW(io::load_scheduler(is1, wrong_machine), std::invalid_argument);
 
-  // The engine position is part of the configuration fingerprint: a
-  // windowed or lazy mismatch changes what the restored state means (the
-  // accepted-id records, the pending annotations), so it is refused.
-  PdOptions unscreened;
-  unscreened.windowed = false;
-  PdScheduler wrong_windowed(kMachine, unscreened);
+  PdScheduler wrong_delta(kMachine, {.delta = 0.5});
   std::istringstream is2(blob, std::ios::binary);
-  EXPECT_THROW(io::load_scheduler(is2, wrong_windowed), std::invalid_argument);
+  EXPECT_THROW(io::load_scheduler(is2, wrong_delta), std::invalid_argument);
 
-  PdOptions eager;
-  eager.lazy = false;
-  PdScheduler wrong_lazy(kMachine, eager);
+  // A blob with a decision log cannot restore into a log-less session.
+  PdScheduler no_log(kMachine, {.delta = {}, .record_decisions = false});
   std::istringstream is3(blob, std::ios::binary);
-  EXPECT_THROW(io::load_scheduler(is3, wrong_lazy), std::invalid_argument);
+  EXPECT_THROW(io::load_scheduler(is3, no_log), std::invalid_argument);
 
   PdScheduler truncated_target(kMachine, {});
   std::istringstream is4(blob.substr(0, blob.size() / 2), std::ios::binary);
@@ -374,30 +363,51 @@ TEST(Checkpoint, RejectsMismatchedConfigurationAndGarbage) {
                std::invalid_argument);
 }
 
-// An engine image in the previous format (magic "PSSCKPT4", whose session
-// blobs carried backend-selector bytes and a tuner block) is refused up
-// front as bad magic rather than misparsed.
+// Images in the previous formats are refused up front as bad magic rather
+// than misparsed: engine images "PSSCKPT4" (session blobs with
+// backend-selector bytes and a tuner block) and "PSSCKPT5", and shard
+// images "PSSSHRD3" (config and session blobs with the windowed/lazy
+// bytes).
 TEST(Checkpoint, EngineRefusesPreviousFormatAsBadMagic) {
   stream::EngineOptions options;
   options.num_shards = 2;
   options.machine = kMachine;
   stream::StreamEngine source(options);
   (void)source.feed(1, {0, 0.0, 4.0, 1.0, 5.0});
+  const auto expect_bad_magic = [](const std::string& image,
+                                   const auto& restore) {
+    std::istringstream is(image, std::ios::binary);
+    try {
+      restore(is);
+      ADD_FAILURE() << "a " << image.substr(0, 8) << " image was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+          << e.what();
+    }
+  };
+
   std::ostringstream os(std::ios::binary);
   source.checkpoint(os);
-  std::string image = os.str();
-  ASSERT_EQ(image.substr(0, 8), "PSSCKPT5");
-  image.replace(0, 8, "PSSCKPT4");
-
-  stream::StreamEngine target(options);
-  std::istringstream is(image, std::ios::binary);
-  try {
-    target.restore(is);
-    ADD_FAILURE() << "a PSSCKPT4 image was accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
-        << e.what();
+  const std::string image = os.str();
+  ASSERT_EQ(image.substr(0, 8), "PSSCKPT6");
+  for (const char* previous : {"PSSCKPT4", "PSSCKPT5"}) {
+    std::string old = image;
+    old.replace(0, 8, previous);
+    stream::StreamEngine target(options);
+    expect_bad_magic(old, [&](std::istream& is) { target.restore(is); });
   }
+
+  std::ostringstream shard_os(std::ios::binary);
+  source.checkpoint_shard(0, shard_os);
+  std::string shard_image = shard_os.str();
+  ASSERT_EQ(shard_image.substr(0, 8), "PSSSHRD4");
+  shard_image.replace(0, 8, "PSSSHRD3");
+  stream::StreamEngine target(options);
+  expect_bad_magic(shard_image,
+                   [&](std::istream& is) { (void)target.restore_shard(0, is); });
+  // The current shard image restores into the same fresh shard.
+  std::istringstream current(shard_os.str(), std::ios::binary);
+  EXPECT_NO_THROW((void)target.restore_shard(0, current));
 }
 
 TEST(Checkpoint, FreshSchedulerRoundTrips) {

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/yds.hpp"
 #include "chen/interval_schedule.hpp"
 #include "convex/brute_force.hpp"
 #include "core/rejection.hpp"
@@ -421,13 +422,13 @@ TEST(Theorem3, LowerBoundInstanceApproachesBound) {
     const auto pd = core::run_pd(inst);
     // All jobs must be accepted (values are huge).
     for (bool a : pd.accepted) EXPECT_TRUE(a);
-    // OPT for this instance: all jobs finished; energy via the convex
-    // solver on one processor.
+    // OPT for this instance: all jobs finished on one processor, i.e. the
+    // exact YDS optimum (Solver.AgreesWithYdsOnSingleProcessor holds the
+    // convex solver to the same value).
     const auto partition = model::TimePartition::from_jobs(inst.jobs());
     std::vector<model::JobId> ids;
     for (const Job& j : inst.jobs()) ids.push_back(j.id);
-    const double opt =
-        convex::minimize_energy(inst, partition, ids).objective;
+    const double opt = baselines::yds(inst, partition, ids).energy;
     return pd.cost.total() / opt;
   };
   const double r16 = measure(16);

@@ -2,18 +2,19 @@
 // reference oracle.
 //
 // core::PdScheduler runs one engine — interval-store state, curve-cache
-// water fill — with two certified fast paths, PdOptions::windowed (the
-// segment-tree screen) and PdOptions::lazy (closed-form water levels
-// committed as range annotations). In all four {windowed} x {lazy}
-// positions it must be *decision-identical* to reference::ReferencePd, the
-// stateless contiguous oracle (tests/support/reference_pd): same
+// water fill — with two always-on certified fast paths: the segment-tree
+// screen and lazy water levels (closed-form accepts committed as range
+// annotations). It must be *decision-identical* to reference::ReferencePd,
+// the stateless contiguous oracle (tests/support/reference_pd): same
 // accept/reject bits, and bitwise-equal lambdas, speeds, planned energies,
 // and final-schedule cost, on every instance we can generate. The engine
 // mirrors the oracle's arithmetic operation for operation (see
 // util::LazyLinearSum and model::IntervalStore), so the comparisons here
 // are exact, not NEAR — any reordering of floating-point work in a future
 // change will show up as a hard failure, which is the point. Fractional PD
-// is held to its oracle the same way in its four positions.
+// is held to its oracle the same way. The families that exist to exercise
+// a fast path also assert that it fired, so a path that silently stopped
+// engaging cannot pass as "identical".
 //
 // Coverage: ~1k seeded instances across uniform, bursty (Poisson heavy
 // tail), tight-laxity, and the adversarial Theorem-3 stream, for
@@ -43,7 +44,6 @@
 namespace pss {
 namespace {
 
-using core::PdOptions;
 using core::PdScheduler;
 using model::Machine;
 
@@ -54,90 +54,64 @@ struct DiffParam {
 
 class PdDifferential : public ::testing::TestWithParam<DiffParam> {};
 
-// The production engine in every position of the {windowed} x {lazy}
-// square. The plain position proves the interval store + curve cache
-// alone; the others prove each certified shortcut and their combination.
-const struct EngineVariant {
-  const char* name;
-  PdOptions options;
-} kVariants[] = {
-    {"plain", {.delta = {}, .windowed = false, .lazy = false}},
-    {"windowed", {.delta = {}, .windowed = true, .lazy = false}},
-    {"lazy", {.delta = {}, .windowed = false, .lazy = true}},
-    {"windowed+lazy", {.delta = {}, .windowed = true, .lazy = true}},
-};
-
 bool same_decision(const core::ArrivalDecision& a,
                    const core::ArrivalDecision& b) {
   return a.accepted == b.accepted && a.speed == b.speed &&
          a.lambda == b.lambda && a.planned_energy == b.planned_energy;
 }
 
-// Feeds the oracle and all engine positions in lockstep. The first
-// divergence is reported as exactly one non-fatal failure and ends the
-// comparison (so the canary below can intercept it).
-void expect_engines_identical(const model::Instance& instance,
-                              reference::ReferencePd oracle) {
-  std::vector<PdScheduler> variants;
-  for (const EngineVariant& v : kVariants)
-    variants.emplace_back(instance.machine(), v.options);
+// Feeds the oracle and the engine in lockstep and returns the engine's
+// counters, so callers can assert which fast paths the run engaged. The
+// first divergence is reported as exactly one non-fatal failure and ends
+// the comparison (so the canary below can intercept it).
+core::PdCounters expect_engine_identical(const model::Instance& instance,
+                                         reference::ReferencePd oracle) {
+  PdScheduler engine(instance.machine());
   for (const model::Job& job : instance.jobs_by_release()) {
     const auto a = oracle.on_arrival(job);
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      const auto b = variants[i].on_arrival(job);
-      if (!same_decision(a, b)) {
-        ADD_FAILURE() << kVariants[i].name << " diverged from the oracle on "
-                      << job.to_string() << ": accepted " << a.accepted
-                      << "/" << b.accepted << " speed " << a.speed << "/"
-                      << b.speed << " lambda " << a.lambda << "/"
-                      << b.lambda << " energy " << a.planned_energy << "/"
-                      << b.planned_energy;
-        return;
-      }
+    const auto b = engine.on_arrival(job);
+    if (!same_decision(a, b)) {
+      ADD_FAILURE() << "engine diverged from the oracle on "
+                    << job.to_string() << ": accepted " << a.accepted << "/"
+                    << b.accepted << " speed " << a.speed << "/" << b.speed
+                    << " lambda " << a.lambda << "/" << b.lambda
+                    << " energy " << a.planned_energy << "/"
+                    << b.planned_energy;
+      return engine.counters();
     }
   }
-  const double cost_ref = oracle.final_schedule().cost(instance).total();
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    const PdScheduler& engine = variants[i];
-    if (oracle.planned_energy() != engine.planned_energy() ||
-        cost_ref != engine.final_schedule().cost(instance).total() ||
-        oracle.state().interval_splits != engine.counters().interval_splits) {
-      ADD_FAILURE() << kVariants[i].name
-                    << " diverged from the oracle at the end of the run";
-      return;
-    }
-    // The engine must actually have gone through the curve cache.
-    EXPECT_GT(engine.counters().curve_cache_hits +
-                  engine.counters().curve_cache_rebuilds,
-              0)
-        << kVariants[i].name;
+  if (oracle.planned_energy() != engine.planned_energy() ||
+      oracle.final_schedule().cost(instance).total() !=
+          engine.final_schedule().cost(instance).total() ||
+      oracle.state().interval_splits != engine.counters().interval_splits) {
+    ADD_FAILURE() << "engine diverged from the oracle at the end of the run";
+    return engine.counters();
   }
+  // The engine must actually have gone through the curve cache.
+  EXPECT_GT(engine.counters().curve_cache_hits +
+                engine.counters().curve_cache_rebuilds,
+            0);
+  return engine.counters();
 }
 
-void expect_engines_identical(const model::Instance& instance) {
-  expect_engines_identical(instance,
-                           reference::ReferencePd(instance.machine()));
+core::PdCounters expect_engine_identical(const model::Instance& instance) {
+  return expect_engine_identical(instance,
+                                 reference::ReferencePd(instance.machine()));
 }
 
-// Fractional PD in every {windowed} x {lazy} position against its oracle.
-void expect_fractional_identical(const model::Instance& instance) {
+// Fractional PD against its oracle; returns the engine's result so callers
+// can assert which fast paths the run engaged.
+core::FractionalPdResult expect_fractional_identical(
+    const model::Instance& instance) {
   const auto oracle = reference::run_fractional_pd(instance);
-  const core::FractionalPdOptions variants[] = {
-      {.delta = {}, .windowed = false, .lazy = false},
-      {.delta = {}, .windowed = true, .lazy = false},
-      {.delta = {}, .windowed = false, .lazy = true},
-      {.delta = {}, .windowed = true, .lazy = true},
-  };
-  for (const auto& options : variants) {
-    const auto other = core::run_fractional_pd(instance, options);
-    ASSERT_EQ(oracle.fraction, other.fraction)
-        << "windowed=" << options.windowed << " lazy=" << options.lazy;
-    ASSERT_EQ(oracle.lambda, other.lambda);
-    ASSERT_EQ(oracle.energy, other.energy);
-    ASSERT_EQ(oracle.lost_value, other.lost_value);
-    ASSERT_EQ(oracle.dual_lower_bound, other.dual_lower_bound);
-    ASSERT_EQ(oracle.partition.boundaries(), other.partition.boundaries());
-  }
+  auto engine = core::run_fractional_pd(instance);
+  EXPECT_EQ(oracle.fraction, engine.fraction);
+  EXPECT_EQ(oracle.lambda, engine.lambda);
+  EXPECT_EQ(oracle.energy, engine.energy);
+  EXPECT_EQ(oracle.lost_value, engine.lost_value);
+  EXPECT_EQ(oracle.dual_lower_bound, engine.dual_lower_bound);
+  EXPECT_EQ(oracle.partition.boundaries(), engine.partition.boundaries());
+  return engine;
 }
 
 constexpr int kSeedsPerFamily = 25;
@@ -152,7 +126,7 @@ TEST_P(PdDifferential, UniformInstances) {
     config.must_finish = seed % 6 == 0;
     const auto inst = workload::uniform_random(
         config, Machine{param.m, param.alpha}, 5000 + std::uint64_t(seed));
-    expect_engines_identical(inst);
+    expect_engine_identical(inst);
   }
 }
 
@@ -166,7 +140,7 @@ TEST_P(PdDifferential, BurstyHeavyTailInstances) {
     config.value_scale = 1.0 + 0.5 * (seed % 3);
     const auto inst = workload::poisson_heavy_tail(
         config, Machine{param.m, param.alpha}, 6000 + std::uint64_t(seed));
-    expect_engines_identical(inst);
+    expect_engine_identical(inst);
   }
 }
 
@@ -179,7 +153,7 @@ TEST_P(PdDifferential, TightLaxityInstances) {
     config.speed_target = 1.0 + 0.5 * (seed % 5);
     const auto inst = workload::tight_laxity(
         config, Machine{param.m, param.alpha}, 7000 + std::uint64_t(seed));
-    expect_engines_identical(inst);
+    expect_engine_identical(inst);
   }
 }
 
@@ -191,7 +165,7 @@ TEST_P(PdDifferential, AdversarialTheorem3Instances) {
                    " mult=" + std::to_string(multiplier));
       const auto inst = workload::adversarial_theorem3(
           n, Machine{param.m, param.alpha}, multiplier);
-      expect_engines_identical(inst);
+      expect_engine_identical(inst);
     }
   }
 }
@@ -231,7 +205,7 @@ TEST_P(PdDifferential, SplitHeavyBisectionInstances) {
     SCOPED_TRACE("bisection seed " + std::to_string(seed));
     const auto inst = bisection_instance(120, Machine{param.m, param.alpha},
                                          8000 + std::uint64_t(seed));
-    expect_engines_identical(inst);
+    expect_engine_identical(inst);
   }
 }
 
@@ -264,15 +238,15 @@ TEST_P(PdDifferential, SplitHeavyLookaheadInstances) {
     SCOPED_TRACE("lookahead seed " + std::to_string(seed));
     const auto inst = lookahead_instance(150, Machine{param.m, param.alpha},
                                          8100 + std::uint64_t(seed));
-    expect_engines_identical(inst);
+    expect_engine_identical(inst);
   }
 }
 
 // Wide-window family: a loaded backdrop whose lookahead plants load far
 // ahead of the release frontier, punctuated by arrivals whose windows
 // span up to the whole horizon at values from hopeless to irresistible —
-// the regime PdOptions::windowed screens. The windowed engines must stay
-// bitwise identical while the screen demonstrably fires.
+// the regime the screen exists for. The engine must stay bitwise identical
+// while the screen demonstrably fires.
 model::Instance wide_window_instance(int num_jobs, Machine machine,
                                      std::uint64_t seed) {
   util::Rng rng(seed);
@@ -299,14 +273,12 @@ TEST_P(PdDifferential, WideWindowInstances) {
     SCOPED_TRACE("wide-window seed " + std::to_string(seed));
     const auto inst = wide_window_instance(150, Machine{param.m, param.alpha},
                                            8200 + std::uint64_t(seed));
-    expect_engines_identical(inst);
+    const core::PdCounters counters = expect_engine_identical(inst);
     if (::testing::Test::HasFailure()) return;
     // The screen must have certified rejections on this family — not
     // merely run (window_exact counts fallbacks, so prunes is the signal).
-    PdScheduler windowed(inst.machine(), {});
-    for (const model::Job& job : inst.jobs_by_release())
-      (void)windowed.on_arrival(job);
-    EXPECT_GT(windowed.counters().window_prunes, 0);
+    EXPECT_GT(counters.window_prunes, 0);
+    EXPECT_GT(expect_fractional_identical(inst).window_prunes, 0);
   }
 }
 
@@ -372,20 +344,19 @@ TEST_P(PdDifferential, AcceptHeavyLongHorizonInstances) {
     SCOPED_TRACE("accept-heavy seed " + std::to_string(seed));
     const auto inst = accept_heavy_instance(96, Machine{param.m, param.alpha},
                                             8300 + std::uint64_t(seed));
-    expect_engines_identical(inst);
+    const core::PdCounters counters = expect_engine_identical(inst);
     if (::testing::Test::HasFailure()) return;
-    // The default engine (all fast paths on) must demonstrably exercise the
-    // lazy machinery on this family, not merely match it: closed-form
-    // accepts committed as annotations AND annotations expanded on touch.
-    PdScheduler lazy_engine(inst.machine(), {});
-    for (const model::Job& job : inst.jobs_by_release())
-      (void)lazy_engine.on_arrival(job);
-    EXPECT_GT(lazy_engine.counters().lazy_fast_path, 0);
-    EXPECT_GT(lazy_engine.counters().lazy_commits, 0);
-    EXPECT_GT(lazy_engine.counters().lazy_materializations, 0);
-    EXPECT_LT(lazy_engine.counters().rejected,
-              lazy_engine.counters().accepted / 4);
-    expect_fractional_identical(inst);
+    // The engine must demonstrably exercise the lazy machinery on this
+    // family, not merely match it: closed-form accepts committed as
+    // annotations AND annotations expanded on touch.
+    EXPECT_GT(counters.lazy_fast_path, 0);
+    EXPECT_GT(counters.lazy_commits, 0);
+    EXPECT_GT(counters.lazy_materializations, 0);
+    EXPECT_LT(counters.rejected, counters.accepted / 4);
+    const core::FractionalPdResult fractional =
+        expect_fractional_identical(inst);
+    EXPECT_GT(fractional.lazy_commits, 0);
+    EXPECT_GT(fractional.lazy_materializations, 0);
   }
 }
 
@@ -418,10 +389,10 @@ TEST(OracleCanary, OneUlpDeltaNudgeIsReported) {
   const double nudged = std::nextafter(core::optimal_delta(machine.alpha),
                                        std::numeric_limits<double>::max());
   EXPECT_NONFATAL_FAILURE(
-      expect_engines_identical(inst, reference::ReferencePd(machine, nudged)),
+      expect_engine_identical(inst, reference::ReferencePd(machine, nudged)),
       "diverged from the oracle");
   // The un-nudged oracle on the same instance is clean.
-  expect_engines_identical(inst);
+  expect_engine_identical(inst);
 }
 
 INSTANTIATE_TEST_SUITE_P(

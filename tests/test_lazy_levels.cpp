@@ -9,11 +9,12 @@
 //     annotation and no materialization must trip the CurveCache's hard
 //     check — the missed-invalidation canary pattern of test_window.cpp,
 //     transplanted to missed *materialization*.
-//   * mutation torture: a lazy scheduler and its eager twin driven through
-//     a random interleaving of accepts, wide overlapping arrivals,
-//     rejections, off-grid splits, advance_to and snapshots, asserting
-//     bitwise-identical decisions on every arrival and bitwise-identical
-//     materialized loads at every comparison point.
+//   * mutation torture: the scheduler and the test-only reference oracle
+//     (which has no lazy path) driven through a random interleaving of
+//     accepts, wide overlapping arrivals, rejections, off-grid splits,
+//     advance_to and snapshots, asserting bitwise-identical decisions on
+//     every arrival and bitwise-identical partition, materialized loads and
+//     planned energy at every comparison point.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,6 +28,7 @@
 #include "core/pd_scheduler.hpp"
 #include "model/interval_store.hpp"
 #include "model/job.hpp"
+#include "support/reference_pd.hpp"
 #include "util/math.hpp"
 #include "util/pairwise_sum.hpp"
 #include "util/random.hpp"
@@ -120,7 +122,6 @@ TEST(LazyLevels, UniformClosedFormMatchesExactFill) {
 TEST(LazyLevels, CurvesOverPendingAnnotationThrow) {
   IntervalStore store;
   CurveCache cache;
-  cache.enable_lazy(true);
   for (const double t : {0.0, 1.0, 2.0, 3.0, 4.0}) {
     cache.before_boundary(store, t);
     store.ensure_boundary(t);
@@ -167,16 +168,16 @@ void expect_assignment_equal(const model::WorkAssignment& a,
   }
 }
 
-// Drives a lazy scheduler and its eager twin through `steps` random
-// mutations; compares decisions on every arrival and full materialized
-// state every `compare_every` steps. compare_every == 1 stresses the
+// Drives the scheduler and the oracle through `steps` random mutations;
+// compares decisions on every arrival and full materialized state every
+// `compare_every` steps. compare_every == 1 stresses the
 // snapshot-triggered flush after every single mutation; a sparser cadence
 // lets annotations pile up so splits and exact fallbacks hit them pending.
 void run_torture(std::uint64_t seed, double alpha, int m, int steps,
                  int compare_every) {
   const Machine machine{m, alpha};
-  PdScheduler lazy(machine, {});  // defaults: all fast paths on
-  PdScheduler eager(machine, {.delta = {}, .windowed = true, .lazy = false});
+  PdScheduler engine(machine);
+  reference::ReferencePd oracle(machine);
   util::Rng rng(seed);
   double clock = 0.0;
   int id = 0;
@@ -187,8 +188,8 @@ void run_torture(std::uint64_t seed, double alpha, int m, int steps,
     job.deadline = release + span;
     job.work = rng.uniform(0.3, 1.5);
     job.value = workload::energy_fair_value(job, alpha) * value_mult;
-    const auto a = lazy.on_arrival(job);
-    const auto b = eager.on_arrival(job);
+    const auto a = engine.on_arrival(job);
+    const auto b = oracle.on_arrival(job);
     ASSERT_EQ(a.accepted, b.accepted) << job.to_string();
     ASSERT_EQ(a.speed, b.speed) << job.to_string();
     ASSERT_EQ(a.lambda, b.lambda) << job.to_string();
@@ -201,7 +202,7 @@ void run_torture(std::uint64_t seed, double alpha, int m, int steps,
     if (::testing::Test::HasFatalFailure()) return;
     clock += 1.0;
   }
-  EXPECT_GT(lazy.counters().lazy_commits, 0);
+  EXPECT_GT(engine.counters().lazy_commits, 0);
   for (int step = 0; step < steps; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     const int op = int(rng.uniform(0.0, 100.0));
@@ -217,27 +218,27 @@ void run_torture(std::uint64_t seed, double alpha, int m, int steps,
       arrive(clock, 2.0, 0.01);  // rejection
     } else if (op < 85) {
       clock += 1.0;  // idle tick: the clock moves, no boundary appears
-      lazy.advance_to(clock);
-      eager.advance_to(clock);
+      engine.advance_to(clock);  // the oracle has no clock to advance
     } else {
       clock += double(int(rng.uniform(0.0, 2.0)));  // jump the frontier
     }
     if (::testing::Test::HasFatalFailure()) return;
     if (step % compare_every == compare_every - 1) {
       const std::string what = "step " + std::to_string(step);
-      ASSERT_EQ(lazy.partition().boundaries(), eager.partition().boundaries())
+      ASSERT_EQ(engine.partition().boundaries(),
+                oracle.partition().boundaries())
           << what;
-      expect_assignment_equal(lazy.assignment(), eager.assignment(), what);
+      expect_assignment_equal(engine.assignment(), oracle.assignment(), what);
       if (::testing::Test::HasFatalFailure()) return;
-      ASSERT_EQ(lazy.planned_energy(), eager.planned_energy()) << what;
+      ASSERT_EQ(engine.planned_energy(), oracle.planned_energy()) << what;
     }
     if (op % 3 == 0) clock += 1.0;
   }
-  expect_assignment_equal(lazy.assignment(), eager.assignment(), "final");
-  ASSERT_EQ(lazy.planned_energy(), eager.planned_energy());
-  EXPECT_GT(lazy.counters().lazy_fast_path, 0);
-  EXPECT_GT(lazy.counters().lazy_materializations, 0);
-  EXPECT_EQ(eager.counters().lazy_commits, 0);
+  ASSERT_EQ(engine.partition().boundaries(), oracle.partition().boundaries());
+  expect_assignment_equal(engine.assignment(), oracle.assignment(), "final");
+  ASSERT_EQ(engine.planned_energy(), oracle.planned_energy());
+  EXPECT_GT(engine.counters().lazy_fast_path, 0);
+  EXPECT_GT(engine.counters().lazy_materializations, 0);
 }
 
 TEST(LazyLevels, TortureCompareEveryStep) {
@@ -258,10 +259,58 @@ TEST(LazyLevels, TorturePendingPileUp) {
               /*compare_every=*/17);
 }
 
+// Multi-interval closed-form accepts: hopeless planters lay a virgin unit
+// grid ahead of the frontier, then accepters whose windows span several of
+// those intervals are decided by the closed form and committed as one
+// annotation each — the residue-absorbing first share included. The
+// materialized loads must be bitwise the oracle's eager water fill.
+TEST(LazyLevels, MultiIntervalAcceptsMatchOracleLoads) {
+  for (const int m : {1, 3, 8}) {
+    SCOPED_TRACE("m=" + std::to_string(m));
+    const Machine machine{m, 2.5};
+    PdScheduler engine(machine);
+    reference::ReferencePd oracle(machine);
+    util::Rng rng(900 + std::uint64_t(m));
+    int id = 0;
+    const auto arrive = [&](double release, double deadline, double work,
+                            double value_mult) {
+      model::Job job;
+      job.id = id++;
+      job.release = release;
+      job.deadline = deadline;
+      job.work = work;
+      job.value = workload::energy_fair_value(job, machine.alpha) * value_mult;
+      const auto a = engine.on_arrival(job);
+      const auto b = oracle.on_arrival(job);
+      ASSERT_EQ(a.accepted, b.accepted) << job.to_string();
+      ASSERT_EQ(a.speed, b.speed) << job.to_string();
+      ASSERT_EQ(a.lambda, b.lambda) << job.to_string();
+      ASSERT_EQ(a.planned_energy, b.planned_energy) << job.to_string();
+    };
+    constexpr int kSpan = 13;  // widest accept window, in ticks
+    for (int t = 0; t < 120; ++t) {
+      arrive(double(t), double(t + kSpan + 2), 1.0, 1e-3);  // planter
+      if (::testing::Test::HasFatalFailure()) return;
+      if (t % kSpan == 0) {
+        const int width = 2 + int(rng.uniform_int(0, kSpan - 2));
+        arrive(double(t), double(t + width),
+               rng.uniform(0.3, 3.0) * double(width), 8.0);  // accepter
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    EXPECT_GT(engine.counters().lazy_commits, 5);
+    ASSERT_EQ(engine.partition().boundaries(),
+              oracle.partition().boundaries());
+    expect_assignment_equal(engine.assignment(), oracle.assignment(),
+                            "materialized");
+    ASSERT_EQ(engine.planned_energy(), oracle.planned_energy());
+  }
+}
+
 // ------------------------------------------------ session recycling
 
 // reset() must drop pending annotations (not replay them into the next
-// stream) while keeping the lazy mode flag. A recycled scheduler re-run on
+// stream). A recycled scheduler re-run on
 // a fresh stream must be indistinguishable from a newly constructed one —
 // the SessionTable pooling contract of the stream engine.
 TEST(LazyLevels, RecycledSchedulerMatchesFresh) {
@@ -286,7 +335,6 @@ TEST(LazyLevels, RecycledSchedulerMatchesFresh) {
   for (const model::Job& job : stream(11)) (void)recycled.on_arrival(job);
   EXPECT_GT(recycled.counters().lazy_commits, 0);
   recycled.reset();
-  EXPECT_TRUE(recycled.lazy());  // mode survives, state does not
 
   PdScheduler fresh(machine, {});
   for (const model::Job& job : stream(22)) {

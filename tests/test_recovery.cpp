@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "stream/engine.hpp"
 #include "stream/recovery.hpp"
 #include "stream/session_table.hpp"
+#include "support/stream_oracle.hpp"
 #include "util/fault.hpp"
 
 namespace {
@@ -469,20 +471,20 @@ TEST(ShardCheckpoint, RestoreRejectsTheWrongShardIndex) {
 
 // --------------------------------------------- WAL recovery: option cube
 
-// A kill between two appends (clean WAL tail) at 60% of the workload, for
-// every {windowed} x {lazy} x {spill} corner: the recovered engine must
-// finish bitwise identical to a twin that never died. This is the recovery
-// analogue of the differential suite.
+// A kill between two appends (clean WAL tail) at 60% of the workload, with
+// session spill off and on: the recovered engine must finish bitwise
+// identical to a twin that never died, and both bitwise identical to the
+// test-only reference oracle. This is the recovery analogue of the
+// differential suite.
 TEST(WalRecovery, BitwiseAcrossTheOptionCube) {
   const std::vector<ingest::IngestOp> ops = drill_ops(4, 8);
-  for (int mask = 0; mask < 8; ++mask) {
-    const bool spill_on = (mask & 4) != 0;
-    SCOPED_TRACE("windowed=" + std::to_string(mask & 1) +
-                 " lazy=" + std::to_string((mask >> 1) & 1) +
-                 " spill=" + std::to_string(spill_on));
+  std::map<StreamId, std::vector<model::Job>> jobs;
+  for (const ingest::IngestOp& op : ops)
+    if (op.kind == ingest::OpKind::kArrival)
+      jobs[StreamId(op.stream)].push_back(op.job);
+  for (const bool spill_on : {false, true}) {
+    SCOPED_TRACE("spill=" + std::to_string(spill_on));
     stream::EngineOptions options = engine_options(2);
-    options.scheduler.windowed = (mask & 1) != 0;
-    options.scheduler.lazy = (mask & 2) != 0;
     const std::string spill_dir = fresh_dir("cube_spill");
     if (spill_on) {
       options.spill.max_resident = 2;
@@ -508,6 +510,7 @@ TEST(WalRecovery, BitwiseAcrossTheOptionCube) {
     EXPECT_GT(report.frames_skipped, 0);  // the checkpoint earned its keep
     EXPECT_EQ(report.arrival_sheds, 0);
     expect_streams_bitwise_equal(got, want);
+    reference::expect_streams_match_oracle(want, jobs, kMachine);
     std::filesystem::remove_all(ckpt);
     std::filesystem::remove_all(spill_dir);
     if (spill_on) std::filesystem::remove_all(failover.spill.directory);

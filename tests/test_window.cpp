@@ -1,10 +1,11 @@
-// Coverage for the windowed placement path: convex::CurveSegmentTree unit
+// Coverage for the screened placement path: convex::CurveSegmentTree unit
 // and property tests (certified bounds vs brute force, under the full
 // refinement mix of splits / appends / prepends and load-epoch
 // invalidation — mirroring the torture style of test_incremental.cpp),
-// the windowed screen through core::CurveCache, and end-to-end bitwise
-// identity of PdScheduler / fractional PD across the windowed axis with
-// window widths spanning 1 interval to the full horizon.
+// the screen through core::CurveCache, and end-to-end bitwise identity of
+// PdScheduler / fractional PD with the test-only reference oracle (which
+// never screens) with window widths spanning 1 interval to the full
+// horizon.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +19,7 @@
 #include "core/rejection.hpp"
 #include "model/instance.hpp"
 #include "model/interval_store.hpp"
+#include "support/reference_pd.hpp"
 #include "util/math.hpp"
 #include "util/random.hpp"
 #include "workload/generators.hpp"
@@ -193,28 +195,27 @@ TEST(CurveSegmentTree, LoadChangeVisibleAfterInterleavedRefinement) {
 
 // ---------------------------------------- end-to-end bitwise identity
 
-void expect_windowed_identical(const std::vector<Job>& jobs, Machine machine,
+void expect_screened_identical(const std::vector<Job>& jobs, Machine machine,
                                long long* prunes = nullptr) {
-  PdScheduler linear(machine, {.delta = {}, .windowed = false});
-  PdScheduler windowed(machine, {.delta = {}, .windowed = true});
+  reference::ReferencePd oracle(machine);
+  PdScheduler screened(machine);
   for (const Job& job : jobs) {
-    const auto a = linear.on_arrival(job);
-    const auto b = windowed.on_arrival(job);
+    const auto a = oracle.on_arrival(job);
+    const auto b = screened.on_arrival(job);
     ASSERT_EQ(a.accepted, b.accepted) << job.to_string();
     ASSERT_EQ(a.speed, b.speed) << job.to_string();
     ASSERT_EQ(a.lambda, b.lambda) << job.to_string();
     ASSERT_EQ(a.planned_energy, b.planned_energy) << job.to_string();
   }
-  ASSERT_EQ(linear.planned_energy(), windowed.planned_energy());
-  EXPECT_EQ(linear.counters().window_prunes, 0);
-  if (prunes) *prunes = windowed.counters().window_prunes;
+  ASSERT_EQ(oracle.planned_energy(), screened.planned_energy());
+  if (prunes) *prunes = screened.counters().window_prunes;
 }
 
 // Window widths spanning 1 interval to the full horizon: a loaded backdrop
 // of unit intervals, then probes whose windows double in width up to the
 // whole horizon, some valuable (accepted), some hopeless (certifiably
-// rejected). Decisions must be bitwise identical across the windowed axis
-// and the screen must actually fire.
+// rejected). Decisions must be bitwise identical to the oracle and the
+// screen must actually fire.
 TEST(WindowedPd, WidthsFromOneToFullHorizonBitwiseIdentical) {
   util::Rng rng(2026);
   for (int trial = 0; trial < 6; ++trial) {
@@ -249,7 +250,7 @@ TEST(WindowedPd, WidthsFromOneToFullHorizonBitwiseIdentical) {
       }
     }
     long long prunes = 0;
-    expect_windowed_identical(jobs, machine, &prunes);
+    expect_screened_identical(jobs, machine, &prunes);
     if (::testing::Test::HasFatalFailure()) return;
     EXPECT_GT(prunes, 0) << "trial " << trial
                          << " never certified a rejection";
@@ -258,8 +259,8 @@ TEST(WindowedPd, WidthsFromOneToFullHorizonBitwiseIdentical) {
 
 // Epoch-invalidation torture through the scheduler, mirroring
 // test_incremental's CacheInvalidation streams: interleaved splits,
-// appends, and tolerance prepends with committed loads present, windowed
-// vs linear in lockstep.
+// appends, and tolerance prepends with committed loads present, screened
+// engine vs oracle in lockstep.
 TEST(WindowedPd, RefinementTortureBitwiseIdentical) {
   util::Rng rng(555);
   for (int trial = 0; trial < 20; ++trial) {
@@ -278,7 +279,7 @@ TEST(WindowedPd, RefinementTortureBitwiseIdentical) {
       jobs.push_back(make_job(i, t, t + span, rng.uniform(0.2, 3.0),
                               std::pow(10.0, rng.uniform(-2.0, 2.0))));
     }
-    expect_windowed_identical(jobs, Machine{m, alpha});
+    expect_screened_identical(jobs, Machine{m, alpha});
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -288,7 +289,6 @@ TEST(WindowedPd, RefinementTortureBitwiseIdentical) {
 TEST(WindowedPd, ResetClearsScreeningState) {
   const Machine machine{2, 2.0};
   PdScheduler scheduler(machine, {});
-  ASSERT_TRUE(scheduler.windowed());
   std::vector<Job> jobs = {
       make_job(0, 0.0, 8.0, 2.0, util::kInf),
       make_job(1, 0.0, 8.0, 50.0, 1e-6),  // hopeless: certified reject
@@ -310,24 +310,24 @@ TEST(WindowedPd, ResetClearsScreeningState) {
 // loads would void the all-loads bounds) and still decide identically.
 TEST(WindowedPd, ReArrivingAcceptedIdSkipsScreen) {
   const Machine machine{2, 2.0};
-  PdScheduler linear(machine, {.delta = {}, .windowed = false});
-  PdScheduler windowed(machine, {.delta = {}, .windowed = true});
+  reference::ReferencePd oracle(machine);
+  PdScheduler screened(machine);
   const std::vector<Job> jobs = {
       make_job(7, 0.0, 4.0, 2.0, util::kInf),
       make_job(7, 1.0, 3.0, 1.0, 0.001),  // same id re-arrives, hopeless value
       make_job(8, 1.0, 3.0, 40.0, 0.001),
   };
   for (const Job& job : jobs) {
-    const auto a = linear.on_arrival(job);
-    const auto b = windowed.on_arrival(job);
+    const auto a = oracle.on_arrival(job);
+    const auto b = screened.on_arrival(job);
     ASSERT_EQ(a.accepted, b.accepted) << job.to_string();
     ASSERT_EQ(a.speed, b.speed) << job.to_string();
     ASSERT_EQ(a.lambda, b.lambda) << job.to_string();
   }
-  ASSERT_EQ(linear.planned_energy(), windowed.planned_energy());
+  ASSERT_EQ(oracle.planned_energy(), screened.planned_energy());
 }
 
-// ------------------------------------------------- fractional windowed
+// ------------------------------------------------- fractional screen
 
 TEST(WindowedFractional, BitwiseIdenticalWithPrunes) {
   util::Rng rng(909);
@@ -351,17 +351,14 @@ TEST(WindowedFractional, BitwiseIdenticalWithPrunes) {
       jobs.push_back(job);
     }
     const auto instance = model::make_instance(machine, std::move(jobs));
-    const auto linear = core::run_fractional_pd(
-        instance, {.delta = {}, .windowed = false});
-    const auto windowed = core::run_fractional_pd(
-        instance, {.delta = {}, .windowed = true});
-    ASSERT_EQ(linear.fraction, windowed.fraction) << "trial " << trial;
-    ASSERT_EQ(linear.lambda, windowed.lambda) << "trial " << trial;
-    ASSERT_EQ(linear.energy, windowed.energy) << "trial " << trial;
-    ASSERT_EQ(linear.lost_value, windowed.lost_value) << "trial " << trial;
-    ASSERT_EQ(linear.dual_lower_bound, windowed.dual_lower_bound);
-    EXPECT_EQ(linear.window_prunes, 0);
-    EXPECT_GT(windowed.window_prunes + windowed.window_exact, 0);
+    const auto oracle = reference::run_fractional_pd(instance);
+    const auto screened = core::run_fractional_pd(instance);
+    ASSERT_EQ(oracle.fraction, screened.fraction) << "trial " << trial;
+    ASSERT_EQ(oracle.lambda, screened.lambda) << "trial " << trial;
+    ASSERT_EQ(oracle.energy, screened.energy) << "trial " << trial;
+    ASSERT_EQ(oracle.lost_value, screened.lost_value) << "trial " << trial;
+    ASSERT_EQ(oracle.dual_lower_bound, screened.dual_lower_bound);
+    EXPECT_GT(screened.window_prunes + screened.window_exact, 0);
   }
 }
 
@@ -369,7 +366,7 @@ TEST(WindowedFractional, BitwiseIdenticalWithPrunes) {
 // value > 0, but s_cap = (v/(delta*alpha*w))^(1/(alpha-1)) underflows to
 // 0.0 for a legal tiny value once the exponent is large (alpha near 1).
 // The tree's speed > 0 precondition cannot take that query, so the
-// screen must skip it and reproduce the unscreened engine's graceful
+// screen must skip it and reproduce the oracle's graceful
 // fully-unserved branch instead of throwing.
 TEST(WindowedFractional, UnderflowedRejectionSpeedSkipsScreen) {
   const Machine machine{2, 1.1};  // exponent 1/(alpha-1) = 10
@@ -381,13 +378,11 @@ TEST(WindowedFractional, UnderflowedRejectionSpeedSkipsScreen) {
   ASSERT_EQ(core::rejection_speed(1e-300, 1.0, machine.alpha,
                                   core::optimal_delta(machine.alpha)),
             0.0);
-  const auto linear = core::run_fractional_pd(
-      instance, {.delta = {}, .windowed = false});
-  const auto windowed = core::run_fractional_pd(
-      instance, {.delta = {}, .windowed = true});
-  ASSERT_EQ(linear.fraction, windowed.fraction);
-  ASSERT_EQ(linear.lambda, windowed.lambda);
-  EXPECT_EQ(windowed.fraction[1], 0.0);
+  const auto oracle = reference::run_fractional_pd(instance);
+  const auto screened = core::run_fractional_pd(instance);
+  ASSERT_EQ(oracle.fraction, screened.fraction);
+  ASSERT_EQ(oracle.lambda, screened.lambda);
+  EXPECT_EQ(screened.fraction[1], 0.0);
 }
 
 }  // namespace
