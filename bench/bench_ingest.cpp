@@ -15,7 +15,7 @@
 //     resident sessions once the stream population exceeds B (checked
 //     mid-run, before any close), restores on touch, and still closes
 //     bitwise identical to the unbudgeted run;
-//   * admission shedding: a queue-depth gate sheds before the ring —
+//   * admission shedding: admission_depth sheds before the ring —
 //     admission_rejects > 0 while queue_rejects stays 0 — and the shed
 //     rate is recorded per run.
 //
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "ingest/admission.hpp"
 #include "sim/stream_sweep.hpp"
 #include "stream/engine.hpp"
 #include "stream_sweep_json.hpp"
@@ -228,20 +227,19 @@ int main(int argc, char** argv) {
       runs.push(pss::bench::sweep_run_json(config, options, result));
     }
 
-    // Guard 3 + record: queue-depth admission sheds before the ring. The
+    // Guard 3 + record: admission_depth sheds before the ring. The
     // shed count is timing-dependent (it tracks real backlog), so the JSON
     // records the rate rather than pinning a value; the layering property
     // (shed at admission, not at the ring) is the guarded invariant.
     {
       EngineOptions options = make_options(producer_counts.back(), false);
-      options.admission.policy = pss::ingest::AdmissionPolicy::kQueueDepth;
-      options.admission.max_queue_depth = 64;
+      options.admission_depth = 64;
       const StreamSweepResult result =
           pss::sim::sweep_streams(config, options);
       const auto& snap = result.snapshot;
       if (snap.queue_rejects != 0) {
         guards_ok = false;
-        std::cerr << "FATAL: ring rejects despite admission gate\n";
+        std::cerr << "FATAL: ring rejects despite admission_depth\n";
       }
       const long long offered = snap.arrivals + snap.admission_rejects;
       const double shed_rate =

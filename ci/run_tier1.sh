@@ -2,15 +2,15 @@
 # Tier-1 CI gate: the ROADMAP verify command, run from a clean build tree,
 # with warnings promoted to errors so a warning regression fails the job,
 # followed by a perf-smoke of the throughput driver (small instance; checks
-# the engines agree and BENCH_throughput.json parses).
+# the engines agree and BENCH_throughput.json's guards hold).
 #
 #   ci/run_tier1.sh [build-dir]
 #
 # Exits nonzero on any configure/build error, any compiler warning, any
 # ctest failure, a test file missing from the registered ctest suite, a
 # clock read on a decision path, a perf-smoke engine/oracle mismatch,
-# malformed bench JSON, or a failed output check of the repository
-# benchmark (perfbench/).
+# malformed bench JSON or a bench guard that is not true, or a failed
+# output check of the repository benchmark (perfbench/).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -18,6 +18,20 @@ ROOT="$(pwd)"
 BUILD_DIR="${1:-build-ci}"
 
 rm -rf "${BUILD_DIR}"
+
+# Bench-JSON gate: parses a BENCH_*.json and asserts that each named
+# top-level guard boolean is present and true.
+check_guards() {
+  python3 - "$@" <<'PY'
+import json, sys
+path, guards = sys.argv[1], sys.argv[2:]
+with open(path) as f:
+    data = json.load(f)
+bad = [g for g in guards if data.get(g) is not True]
+if bad:
+    sys.exit(f"FATAL: {path}: guard(s) not true: {', '.join(bad)}")
+PY
+}
 
 # Clock gate: no decision path reads a clock. The PD engine, the convex
 # water fill, the Chen realization and the model layer must stay pure
@@ -54,11 +68,7 @@ echo "suite-registration: OK ($(ls "${ROOT}"/tests/test_*.cpp | wc -l) test file
 # exits nonzero if the engine ever disagrees with the reference oracle.
 PSS_THROUGHPUT_JOBS=400 PSS_THROUGHPUT_SCALE=2000 PSS_RESULT_DIR=bench_results \
   ./bench_throughput --benchmark_filter=NONE_ > /dev/null
-if command -v python3 > /dev/null; then
-  python3 -m json.tool bench_results/BENCH_throughput.json > /dev/null
-else
-  grep -q '"decisions_match": true' bench_results/BENCH_throughput.json
-fi
+check_guards bench_results/BENCH_throughput.json decisions_match
 echo "perf-smoke: OK (${BUILD_DIR}/bench_results/BENCH_throughput.json)"
 
 # Shard-scale smoke: tiny multi-stream run of the serving engine. The driver
@@ -67,11 +77,7 @@ echo "perf-smoke: OK (${BUILD_DIR}/bench_results/BENCH_throughput.json)"
 PSS_SHARD_JOBS=8 PSS_SHARD_MAX_STREAMS=64 PSS_SHARD_MAX_SHARDS=2 \
   PSS_RESULT_DIR=bench_results \
   ./bench_shard_scale --benchmark_filter=NONE_ > /dev/null
-if command -v python3 > /dev/null; then
-  python3 -m json.tool bench_results/BENCH_shard.json > /dev/null
-else
-  grep -q '"determinism_match": true' bench_results/BENCH_shard.json
-fi
+check_guards bench_results/BENCH_shard.json determinism_match
 echo "shard-smoke: OK (${BUILD_DIR}/bench_results/BENCH_shard.json)"
 
 # Ingest smoke: tiny MPSC run of the ingest front end. The driver exits
@@ -81,11 +87,7 @@ echo "shard-smoke: OK (${BUILD_DIR}/bench_results/BENCH_shard.json)"
 PSS_INGEST_JOBS=6 PSS_INGEST_MAX_STREAMS=64 PSS_INGEST_MAX_PRODUCERS=4 \
   PSS_RESULT_DIR=bench_results \
   ./bench_ingest --benchmark_filter=NONE_ > /dev/null
-if command -v python3 > /dev/null; then
-  python3 -m json.tool bench_results/BENCH_ingest.json > /dev/null
-else
-  grep -q '"determinism_match": true' bench_results/BENCH_ingest.json
-fi
+check_guards bench_results/BENCH_ingest.json determinism_match
 # Op-log round trip through the CLI: a generated log must replay to the
 # same per-stream results twice in a row (bitwise replayability is the
 # wire format's whole contract).
@@ -106,11 +108,7 @@ echo "ingest-smoke: OK (${BUILD_DIR}/bench_results/BENCH_ingest.json + replayabl
 PSS_HORIZON_MAX_INTERVALS=16384 PSS_HORIZON_CONTIG_MAX=16384 \
   PSS_HORIZON_PD_MAX_JOBS=10000 PSS_RESULT_DIR=bench_results \
   ./bench_horizon_scale --benchmark_filter=NONE_ > /dev/null
-if command -v python3 > /dev/null; then
-  python3 -m json.tool bench_results/BENCH_horizon.json > /dev/null
-else
-  grep -q '"determinism_match": true' bench_results/BENCH_horizon.json
-fi
+check_guards bench_results/BENCH_horizon.json determinism_match sublinear_refinement
 echo "horizon-smoke: OK (${BUILD_DIR}/bench_results/BENCH_horizon.json)"
 
 # Window-scale smoke: small widths through the segment-tree screen. The
@@ -120,11 +118,7 @@ echo "horizon-smoke: OK (${BUILD_DIR}/bench_results/BENCH_horizon.json)"
 PSS_WINDOW_MAX_WIDTH=4096 PSS_WINDOW_ORACLE_MAX=4096 PSS_WINDOW_PROBES=48 \
   PSS_RESULT_DIR=bench_results \
   ./bench_window_scale --benchmark_filter=NONE_ > /dev/null
-if command -v python3 > /dev/null; then
-  python3 -m json.tool bench_results/BENCH_window.json > /dev/null
-else
-  grep -q '"determinism_match": true' bench_results/BENCH_window.json
-fi
+check_guards bench_results/BENCH_window.json determinism_match screen_engaged sublinear_window
 echo "window-smoke: OK (${BUILD_DIR}/bench_results/BENCH_window.json)"
 
 # Accept-scale smoke: small accept-heavy run of the lazy water-level
@@ -134,11 +128,7 @@ echo "window-smoke: OK (${BUILD_DIR}/bench_results/BENCH_window.json)"
 PSS_ACCEPT_MAX_TICKS=16384 PSS_ACCEPT_ORACLE_MAX=16384 \
   PSS_RESULT_DIR=bench_results \
   ./bench_accept_scale --benchmark_filter=NONE_ > /dev/null
-if command -v python3 > /dev/null; then
-  python3 -m json.tool bench_results/BENCH_accept.json > /dev/null
-else
-  grep -q '"determinism_match": true' bench_results/BENCH_accept.json
-fi
+check_guards bench_results/BENCH_accept.json determinism_match lazy_fast_path_complete sublinear_accept
 echo "accept-smoke: OK (${BUILD_DIR}/bench_results/BENCH_accept.json)"
 
 # Soak smoke: short steady-state serving run with per-tick horizon
@@ -148,11 +138,7 @@ echo "accept-smoke: OK (${BUILD_DIR}/bench_results/BENCH_accept.json)"
 PSS_SOAK_TICKS=6000 PSS_SOAK_UNCOMPACTED_MAX=4000 \
   PSS_RESULT_DIR=bench_results \
   ./bench_soak --benchmark_filter=NONE_ > /dev/null
-if command -v python3 > /dev/null; then
-  python3 -m json.tool bench_results/BENCH_soak.json > /dev/null
-else
-  grep -q '"decisions_match": true' bench_results/BENCH_soak.json
-fi
+check_guards bench_results/BENCH_soak.json decisions_match flat_memory linear_growth_without_compaction
 echo "soak-smoke: OK (${BUILD_DIR}/bench_results/BENCH_soak.json)"
 
 # Recovery smoke: small crash-recovery run of the WAL-checkpoint stack.
@@ -162,11 +148,7 @@ echo "soak-smoke: OK (${BUILD_DIR}/bench_results/BENCH_soak.json)"
 # the checkpoint cut points.
 PSS_RECOVERY_STREAMS=64 PSS_RECOVERY_JOBS=4 PSS_RESULT_DIR=bench_results \
   ./bench_recovery > /dev/null
-if command -v python3 > /dev/null; then
-  python3 -m json.tool bench_results/BENCH_recovery.json > /dev/null
-else
-  grep -q '"bitwise_recovery": true' bench_results/BENCH_recovery.json
-fi
+check_guards bench_results/BENCH_recovery.json bitwise_recovery tail_scaling
 echo "recovery-smoke: OK (${BUILD_DIR}/bench_results/BENCH_recovery.json)"
 
 # Crash drill, out of process: kill the serving CLI with an injected

@@ -46,7 +46,6 @@
 #include "sim/stream_sweep.hpp"
 #include "stream/engine.hpp"
 #include "stream/recovery.hpp"
-#include "stream/replay.hpp"
 #include "util/fault.hpp"
 #include "workload/generators.hpp"
 
@@ -443,18 +442,17 @@ int cmd_replay(int argc, char** argv) {
   options.num_shards = shards;
   options.machine = model::Machine{m, alpha};
   stream::StreamEngine engine(options);
-  const stream::ReplayStats stats = stream::replay_op_log(is, engine);
-  engine.drain();
+  const stream::RecoveryReport report = stream::replay_op_log(is, engine);
   const std::vector<stream::StreamResult> results = engine.finish();
   const stream::EngineSnapshot snap = engine.snapshot();
 
   double closed_energy = 0.0;
   for (const stream::StreamResult& r : results) closed_energy += r.planned_energy;
-  std::cout << "replayed " << stats.frames << " frames over " << shards
+  std::cout << "replayed " << report.frames_seen << " frames over " << shards
             << " shards (m = " << m << ", alpha = " << alpha << ")\n"
-            << "applied       : " << stats.applied << "\n"
-            << "arrival sheds : " << stats.arrival_sheds << "\n"
-            << "ckpt marks    : " << stats.marks << "\n"
+            << "applied       : " << report.frames_replayed << "\n"
+            << "arrival sheds : " << report.arrival_sheds << "\n"
+            << "ckpt marks    : " << report.marks_seen << "\n"
             << "accepted      : " << snap.accepted << "\n"
             << "rejected (PD) : " << snap.rejected << "\n"
             << "closed streams: " << results.size() << "\n"

@@ -28,10 +28,6 @@ unsigned char* buf(std::string& s, std::size_t at) {
 
 }  // namespace
 
-std::uint32_t crc32(const unsigned char* data, std::size_t len) {
-  return io::crc32(data, len);
-}
-
 // ----------------------------------------------------------------- writer
 
 OpLogWriter::OpLogWriter(std::ostream& os) : os_(os) {
@@ -79,7 +75,7 @@ void OpLogWriter::append(const IngestOp& op) {
   os_.write(body_.data() + half,
             static_cast<std::streamsize>(body_.size() - half));
   PSS_CHECK(os_.good(), "op log: write failed");
-  io::write_u64(os_, crc32(buf(body_, 0), body_.size()));
+  io::write_u64(os_, io::crc32(buf(body_, 0), body_.size()));
   ++frames_;
 }
 
@@ -120,7 +116,7 @@ bool OpLogReader::next(IngestOp& op) {
   if (!try_read(crc_bytes, 8)) return false;
   const std::uint64_t stored_crc =
       io::fetch_u64(reinterpret_cast<const unsigned char*>(crc_bytes));
-  PSS_REQUIRE(stored_crc == crc32(buf(body_, 0), body_len),
+  PSS_REQUIRE(stored_crc == io::crc32(buf(body_, 0), body_len),
               "op log: frame checksum mismatch");
 
   const auto kind_byte = static_cast<std::uint8_t>(body_[0]);

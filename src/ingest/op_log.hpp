@@ -19,7 +19,7 @@
 //   payload(kAdvance)      := [f64 time]
 //   payload(kOpen | kClose | kCheckpointMark) := (empty)
 //
-// Every frame carries its own CRC-32 (poly 0xEDB88320, over the body
+// Every frame carries its own CRC-32 (io::crc32, over the body
 // bytes), so truncation, bit rot and splices are caught per frame. Two
 // defect classes get different treatment, because a crash leaves a
 // byte-prefix of a valid log and nothing else:
@@ -66,9 +66,6 @@ struct IngestOp {
   double time = 0.0;
   model::Job job{};
 };
-
-/// CRC-32 (reflected, poly 0xEDB88320) of `len` bytes — the frame checksum.
-[[nodiscard]] std::uint32_t crc32(const unsigned char* data, std::size_t len);
 
 class OpLogWriter {
  public:

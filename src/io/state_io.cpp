@@ -90,8 +90,6 @@ std::uint32_t crc32(const unsigned char* data, std::size_t len) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-namespace {
-
 void write_bool(std::ostream& os, bool v) { write_u8(os, v ? 1 : 0); }
 
 bool read_bool(std::istream& is) {
@@ -100,15 +98,33 @@ bool read_bool(std::istream& is) {
   return v != 0;
 }
 
-// Bounds a container count against a truncated/corrupt stream before any
-// allocation happens (a garbage u64 must not turn into a 2^60 reserve).
 std::uint64_t read_count(std::istream& is) {
   const std::uint64_t n = read_u64(is);
   PSS_REQUIRE(n <= (std::uint64_t(1) << 40), "corrupt checkpoint: count");
   return n;
 }
 
-}  // namespace
+void save_decisions(std::ostream& os, const DecisionLog& decisions) {
+  write_u64(os, decisions.size());
+  for (const auto& [id, d] : decisions) {
+    write_i64(os, id);
+    write_bool(os, d.accepted);
+    write_f64(os, d.speed);
+    write_f64(os, d.lambda);
+    write_f64(os, d.planned_energy);
+  }
+}
+
+void load_decisions(std::istream& is, DecisionLog& decisions) {
+  decisions.resize(read_count(is));
+  for (auto& [id, d] : decisions) {
+    id = static_cast<model::JobId>(read_i64(is));
+    d.accepted = read_bool(is);
+    d.speed = read_f64(is);
+    d.lambda = read_f64(is);
+    d.planned_energy = read_f64(is);
+  }
+}
 
 // Both codecs walk the counter reflection table (core/pd_scheduler.hpp):
 // wire order is table order, so a counter added with its table row is
@@ -232,14 +248,7 @@ void save_scheduler(std::ostream& os, const core::PdScheduler& s) {
     write_f64(os, deadline);
   }
 
-  write_u64(os, s.decisions_.size());
-  for (const auto& [id, d] : s.decisions_) {
-    write_i64(os, id);
-    write_bool(os, d.accepted);
-    write_f64(os, d.speed);
-    write_f64(os, d.lambda);
-    write_f64(os, d.planned_energy);
-  }
+  save_decisions(os, s.decisions_);
 
   save_lazy(os, s.cache_.lazy_state());
   save_counters(os, s.counters_);
@@ -293,14 +302,7 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
     s.accepted_ids_[id] = read_f64(is);
   }
 
-  s.decisions_.resize(read_count(is));
-  for (auto& [id, d] : s.decisions_) {
-    id = static_cast<model::JobId>(read_i64(is));
-    d.accepted = read_bool(is);
-    d.speed = read_f64(is);
-    d.lambda = read_f64(is);
-    d.planned_energy = read_f64(is);
-  }
+  load_decisions(is, s.decisions_);
 
   // Restored last: overwrites whatever grid classification the boundary
   // replay above accumulated with the live run's exact lazy image.

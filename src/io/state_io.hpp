@@ -26,10 +26,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <utility>
+#include <vector>
+
+#include "model/job.hpp"
 
 namespace pss::core {
 class PdScheduler;
 struct PdCounters;
+struct ArrivalDecision;
 }  // namespace pss::core
 
 namespace pss::io {
@@ -44,6 +49,13 @@ void write_f64(std::ostream& os, double v);
 [[nodiscard]] std::int64_t read_i64(std::istream& is);
 [[nodiscard]] double read_f64(std::istream& is);
 
+/// A bool is one byte, 0 or 1; any other byte is a corrupt image.
+void write_bool(std::ostream& os, bool v);
+[[nodiscard]] bool read_bool(std::istream& is);
+/// Reads a container count, bounded ahead of any allocation (a garbage
+/// u64 must not turn into a 2^60 reserve).
+[[nodiscard]] std::uint64_t read_count(std::istream& is);
+
 // -- buffer variants (for framed formats that checksum their own bytes) ----
 // Same little-endian encoding as the stream primitives, but against a raw
 // byte buffer, so a codec can assemble a frame body, checksum it, and only
@@ -57,6 +69,13 @@ void store_f64(unsigned char* p, double v);
 /// op-log wire format (src/ingest/op_log) and the crash-consistent
 /// checkpoint files (src/io/checkpoint_dir).
 [[nodiscard]] std::uint32_t crc32(const unsigned char* data, std::size_t len);
+
+/// Per-arrival decision log: count, then (i64 job, bool accepted,
+/// f64 speed, f64 lambda, f64 planned_energy) per decision, in log order.
+using DecisionLog =
+    std::vector<std::pair<model::JobId, core::ArrivalDecision>>;
+void save_decisions(std::ostream& os, const DecisionLog& decisions);
+void load_decisions(std::istream& is, DecisionLog& decisions);
 
 /// Full PdCounters image, fixed field order.
 void save_counters(std::ostream& os, const core::PdCounters& c);

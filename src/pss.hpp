@@ -40,14 +40,13 @@
 #include "baselines/replan_engine.hpp"
 #include "baselines/yds.hpp"
 
-// Ingest front end: admission control, session spill, binary op logs.
-#include "ingest/admission.hpp"
+// Ingest front end: session spill, binary op logs.
 #include "ingest/op_log.hpp"
 #include "ingest/spill.hpp"
 
 // The sharded multi-stream serving engine (systems layer over core).
 #include "stream/engine.hpp"
-#include "stream/replay.hpp"
+#include "stream/recovery.hpp"
 #include "stream/router.hpp"
 #include "stream/session_table.hpp"
 #include "stream/spsc_queue.hpp"

@@ -25,7 +25,6 @@ struct InFlightGuard {
 StreamEngine::StreamEngine(EngineOptions options)
     : options_(options),
       router_(options.num_shards),
-      admission_(options.admission),
       paused_(options.start_paused) {
   PSS_REQUIRE(options_.num_shards >= 1, "need at least one shard");
   PSS_REQUIRE(options_.max_producers >= 1, "need at least one producer slot");
@@ -153,7 +152,8 @@ bool StreamEngine::enqueue(std::size_t slot, std::size_t shard_index,
   SpscQueue<ShardOp>& queue = *shard.queues[slot];
   // Admission: shed-before-enqueue, arrivals only (a shed open/advance/
   // close would corrupt the stream's lifecycle rather than its load).
-  if (op.kind == ShardOp::Kind::kArrival && !admission_.admit(queue.size())) {
+  if (op.kind == ShardOp::Kind::kArrival && options_.admission_depth != 0 &&
+      queue.size() >= options_.admission_depth) {
     shard.admission_rejects.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -251,16 +251,11 @@ void StreamEngine::stop() {
 // ------------------------------------------------------ checkpoint/restore
 
 namespace {
-// "PSSCKPT6" as a little-endian u64 — version byte last. (v2 added the
-// admission/late-reject tallies to the per-shard stats block; v3 added the
-// WAL checkpoint-mark stamp for crash recovery; v4 added a backend-tuner
-// config byte and session block; v5 dropped them again together with the
-// per-session backend selector bytes — one engine, no backend switching;
-// v6 dropped the windowed/lazy config and session bytes — the screen and
-// lazy water levels always run.)
-constexpr std::uint64_t kCheckpointMagic = 0x3654504B43535350ull;
-// "PSSSHRD4": a single-shard image (checkpoint_shard / restore_shard),
-// version-bumped in lockstep with the v6 session-blob format.
+// "PSSSHRD4" as a little-endian u64 — version byte last. One image format
+// serves both entry points: checkpoint_shard writes one shard image, and
+// checkpoint() writes every shard's image in shard order. (Images of the
+// earlier engine format, one shared header ahead of the shard states, are
+// refused as bad magic.)
 constexpr std::uint64_t kShardMagic = 0x3444524853535350ull;
 }  // namespace
 
@@ -282,36 +277,24 @@ bool StreamEngine::quiesce_producers() {
   return true;
 }
 
-void StreamEngine::write_config(std::ostream& os) const {
-  io::write_u64(os, options_.num_shards);
-  io::write_i64(os, options_.machine.num_processors);
-  io::write_f64(os, options_.machine.alpha);
-  io::write_u8(os, options_.scheduler.delta.has_value() ? 1 : 0);
-  io::write_f64(os, options_.scheduler.delta.value_or(0.0));
-  io::write_u8(os, options_.record_decisions ? 1 : 0);
-}
-
-void StreamEngine::check_config(std::istream& is) const {
-  PSS_REQUIRE(io::read_u64(is) == options_.num_shards,
-              "checkpoint shard count mismatch");
-  PSS_REQUIRE(io::read_i64(is) == options_.machine.num_processors &&
-                  io::read_f64(is) == options_.machine.alpha,
-              "checkpoint machine mismatch");
-  const bool has_delta = io::read_u8(is) != 0;
-  const double delta = io::read_f64(is);
-  PSS_REQUIRE(has_delta == options_.scheduler.delta.has_value() &&
-                  delta == options_.scheduler.delta.value_or(0.0),
-              "checkpoint delta mismatch");
-  PSS_REQUIRE((io::read_u8(is) != 0) == options_.record_decisions,
-              "checkpoint record_decisions mismatch");
-}
-
-void StreamEngine::write_shard_state(std::ostream& os, Shard& shard) const {
+void StreamEngine::write_shard_image(std::ostream& os, Shard& shard,
+                                     std::uint64_t wal_mark) const {
   ShardSnapshot p;
   {
     std::lock_guard lock(shard.stats_mutex);
     p = shard.published;
   }
+  io::write_u64(os, kShardMagic);
+  io::write_u64(os, wal_mark);
+  io::write_u64(os, shard.index);
+  // Config block: what restore compatibility is checked against.
+  io::write_u64(os, options_.num_shards);
+  io::write_i64(os, options_.machine.num_processors);
+  io::write_f64(os, options_.machine.alpha);
+  io::write_bool(os, options_.scheduler.delta.has_value());
+  io::write_f64(os, options_.scheduler.delta.value_or(0.0));
+  io::write_bool(os, options_.record_decisions);
+  // Tallies, then the session table.
   io::write_i64(os, shard.enqueued.load(std::memory_order_relaxed));
   io::write_i64(os, shard.admission_rejects.load(std::memory_order_relaxed));
   io::write_i64(os, shard.queue_rejects.load(std::memory_order_relaxed));
@@ -330,14 +313,36 @@ void StreamEngine::write_shard_state(std::ostream& os, Shard& shard) const {
   shard.sessions.checkpoint(os);
 }
 
-void StreamEngine::read_shard_state(std::istream& is, Shard& shard) {
+std::uint64_t StreamEngine::read_shard_image(std::istream& is, Shard& shard) {
+  PSS_REQUIRE(io::read_u64(is) == kShardMagic,
+              "not a PSS shard checkpoint (bad magic)");
+  const std::uint64_t wal_mark = io::read_u64(is);
+  PSS_REQUIRE(io::read_u64(is) == shard.index,
+              "shard checkpoint for a different shard");
+  PSS_REQUIRE(io::read_u64(is) == options_.num_shards,
+              "checkpoint shard count mismatch");
+  PSS_REQUIRE(io::read_i64(is) == options_.machine.num_processors &&
+                  io::read_f64(is) == options_.machine.alpha,
+              "checkpoint machine mismatch");
+  const bool has_delta = io::read_bool(is);
+  const double delta = io::read_f64(is);
+  PSS_REQUIRE(has_delta == options_.scheduler.delta.has_value() &&
+                  delta == options_.scheduler.delta.value_or(0.0),
+              "checkpoint delta mismatch");
+  PSS_REQUIRE(io::read_bool(is) == options_.record_decisions,
+              "checkpoint record_decisions mismatch");
+
   const long long enqueued = io::read_i64(is);
-  shard.admission_rejects.store(io::read_i64(is), std::memory_order_relaxed);
-  shard.queue_rejects.store(io::read_i64(is), std::memory_order_relaxed);
-  shard.full_waits.store(io::read_i64(is), std::memory_order_relaxed);
-  shard.late_rejects.store(io::read_i64(is), std::memory_order_relaxed);
+  const long long admission_rejects = io::read_i64(is);
+  const long long queue_rejects = io::read_i64(is);
+  const long long full_waits = io::read_i64(is);
+  const long long late_rejects = io::read_i64(is);
   ShardSnapshot p;
   p.processed = io::read_i64(is);
+  // Images are only cut drained, and drain() waits for processed to reach
+  // enqueued: a restored gap would wedge the next drain() forever.
+  PSS_REQUIRE(enqueued == p.processed,
+              "corrupt checkpoint: enqueued/processed tally mismatch");
   p.batches = io::read_i64(is);
   p.op_errors = io::read_i64(is);
   p.arrivals = io::read_i64(is);
@@ -365,20 +370,23 @@ void StreamEngine::read_shard_state(std::istream& is, Shard& shard) {
     std::lock_guard lock(shard.stats_mutex);
     shard.published = p;
   }
-  // drain() waits for processed >= enqueued; the restored tallies must
-  // keep that invariant (they were drained-equal at checkpoint time).
+  shard.admission_rejects.store(admission_rejects, std::memory_order_relaxed);
+  shard.queue_rejects.store(queue_rejects, std::memory_order_relaxed);
+  shard.full_waits.store(full_waits, std::memory_order_relaxed);
+  shard.late_rejects.store(late_rejects, std::memory_order_relaxed);
   shard.enqueued.store(enqueued, std::memory_order_relaxed);
+  return wal_mark;
 }
 
 void StreamEngine::checkpoint(std::ostream& os, std::uint64_t wal_mark) {
   PSS_REQUIRE(!finished_.load(std::memory_order_acquire),
               "engine already finished");
-  PSS_REQUIRE(quiesce_producers(),
-              "extra producers still registered after the quiesce timeout");
   for (auto& shard : shards_)
     PSS_REQUIRE(!shard->quarantined.load(std::memory_order_acquire),
                 "cannot checkpoint a quarantined shard (checkpoint_shard "
                 "the healthy ones)");
+  PSS_REQUIRE(quiesce_producers(),
+              "extra producers still registered after the quiesce timeout");
   // After drain() every worker has applied all ops it will ever see until
   // the next enqueue, and a worker facing empty rings never touches its
   // session table — so the tables are quiescent for the reads below. The
@@ -386,10 +394,7 @@ void StreamEngine::checkpoint(std::ostream& os, std::uint64_t wal_mark) {
   // writes before them. (No extra producers exist — just checked — so the
   // owner thread is the only possible enqueuer, and it is here.)
   drain();
-  io::write_u64(os, kCheckpointMagic);
-  io::write_u64(os, wal_mark);
-  write_config(os);
-  for (auto& shard : shards_) write_shard_state(os, *shard);
+  for (auto& shard : shards_) write_shard_image(os, *shard, wal_mark);
 }
 
 std::uint64_t StreamEngine::restore(std::istream& is) {
@@ -399,11 +404,13 @@ std::uint64_t StreamEngine::restore(std::istream& is) {
     PSS_REQUIRE(shard->enqueued.load(std::memory_order_relaxed) == 0,
                 "restore target engine must be fresh");
   }
-  PSS_REQUIRE(io::read_u64(is) == kCheckpointMagic,
-              "not a PSS checkpoint (bad magic)");
-  const std::uint64_t wal_mark = io::read_u64(is);
-  check_config(is);
-  for (auto& shard : shards_) read_shard_state(is, *shard);
+  std::uint64_t wal_mark = 0;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    const std::uint64_t mark = read_shard_image(is, *shards_[i]);
+    PSS_REQUIRE(i == 0 || mark == wal_mark,
+                "checkpoint shards carry different wal_marks");
+    wal_mark = mark;
+  }
   return wal_mark;
 }
 
@@ -420,11 +427,7 @@ void StreamEngine::checkpoint_shard(std::size_t shard_index, std::ostream& os,
   PSS_REQUIRE(!paused_.load(std::memory_order_relaxed),
               "draining a paused engine would deadlock");
   drain_shard(shard);
-  io::write_u64(os, kShardMagic);
-  io::write_u64(os, wal_mark);
-  io::write_u64(os, shard_index);
-  write_config(os);
-  write_shard_state(os, shard);
+  write_shard_image(os, shard, wal_mark);
 }
 
 std::uint64_t StreamEngine::restore_shard(std::size_t shard_index,
@@ -435,14 +438,7 @@ std::uint64_t StreamEngine::restore_shard(std::size_t shard_index,
   Shard& shard = *shards_[shard_index];
   PSS_REQUIRE(shard.enqueued.load(std::memory_order_relaxed) == 0,
               "restore target shard must be fresh");
-  PSS_REQUIRE(io::read_u64(is) == kShardMagic,
-              "not a PSS shard checkpoint (bad magic)");
-  const std::uint64_t wal_mark = io::read_u64(is);
-  PSS_REQUIRE(io::read_u64(is) == shard_index,
-              "shard checkpoint for a different shard");
-  check_config(is);
-  read_shard_state(is, shard);
-  return wal_mark;
+  return read_shard_image(is, shard);
 }
 
 std::size_t StreamEngine::num_quarantined_shards() const {

@@ -23,10 +23,12 @@
 // still reach one worker, in feed order, into a scheduler that sees only
 // that stream.
 //
-// Ahead of the rings sits the admission gate (src/ingest/admission.hpp):
-// arrivals it sheds are counted per shard in `admission_rejects` and never
-// enqueued — distinct from `queue_rejects`, the post-gate sheds of
-// Backpressure::kReject on a full ring.
+// Ahead of the rings sits one admission check: with
+// EngineOptions::admission_depth set, an arrival whose target ring already
+// holds that many ops is shed before it is enqueued and counted per shard
+// in `admission_rejects` — distinct from `queue_rejects`, the post-check
+// sheds of Backpressure::kReject on a full ring. Control ops always pass.
+// The check reads only the ring depth, never a clock.
 //
 // Under an EngineOptions::spill budget each shard's SessionTable keeps at
 // most max_resident sessions live and spills the coldest to a blob store
@@ -49,6 +51,11 @@
 // Per-shard checkpoints (checkpoint_shard / restore_shard) plus the WAL
 // (stream/recovery) rebuild the lost shard without touching healthy ones.
 //
+// Checkpoint format: one image format, the shard image ("PSSSHRD4": magic,
+// wal_mark, shard index, config block, tallies, session table). An engine
+// image (checkpoint / restore) is every shard's image in shard order — the
+// same bytes a CheckpointCoordinator generation writes as its parts.
+//
 // Threading contract: engine-level open/feed/advance/close_stream/drain/
 // checkpoint/restore/finish are owner-thread calls (slot 0); each Producer
 // handle serves exactly one additional thread. snapshot() may be called
@@ -68,7 +75,6 @@
 #include <vector>
 
 #include "core/pd_scheduler.hpp"
-#include "ingest/admission.hpp"
 #include "ingest/spill.hpp"
 #include "model/instance.hpp"
 #include "model/job.hpp"
@@ -100,8 +106,10 @@ struct EngineOptions {
   /// Construct with workers parked until resume() — lets tests fill a ring
   /// deterministically before anything drains.
   bool start_paused = false;
-  /// Shed-before-enqueue admission policy for arrivals (default: none).
-  ingest::AdmissionOptions admission{};
+  /// Shed-before-enqueue admission: an arrival whose target ring already
+  /// holds at least this many ops is shed (admission_rejects). 0 = never
+  /// shed. Control ops (open/advance/close) always pass.
+  std::size_t admission_depth = 0;
   /// How long checkpoint() waits for extra producer handles to be released
   /// before refusing (counted in EngineSnapshot::checkpoint_refusals). A
   /// serving loop can then retry at the next cadence instead of crashing.
@@ -122,7 +130,7 @@ struct ShardSnapshot {
   long long enqueued = 0;        // ops accepted into the rings
   long long processed = 0;       // ops applied by the worker
   long long batches = 0;         // worker wakes that drained work
-  long long admission_rejects = 0;  // arrivals shed at the gate, pre-ring
+  long long admission_rejects = 0;  // arrivals shed by admission_depth
   long long queue_rejects = 0;   // ops shed on a full ring (kReject)
   long long full_waits = 0;      // producer stalls on a full ring (kBlock)
   long long late_rejects = 0;    // ops refused after finish() began
@@ -228,13 +236,10 @@ class StreamEngine {
   /// Extra producer handles currently registered (slot 0 not counted).
   [[nodiscard]] std::size_t active_producers() const;
 
-  /// The admission gate (live: refill() feeds manual token buckets).
-  [[nodiscard]] ingest::AdmissionGate& admission() { return admission_; }
-
   /// Opens a session before traffic arrives (feed auto-opens otherwise).
   bool open(StreamId id);
   /// Routes one arrival to its stream's shard. Returns false iff the op
-  /// was shed — by the admission gate, by Backpressure::kReject on a full
+  /// was shed — by admission_depth, by Backpressure::kReject on a full
   /// ring, or because the engine is finishing.
   bool feed(StreamId id, const model::Job& job);
   /// Advances the stream's horizon to time t.
@@ -251,27 +256,30 @@ class StreamEngine {
 
   /// Drains every in-flight op, then serializes the engine's full state —
   /// open sessions (spilled blobs included, byte-identical to a spill-free
-  /// run), pending results, published tallies — as one binary image
-  /// (src/io/state_io.hpp wire format). The engine keeps serving
-  /// afterwards. Owner-thread call. Extra Producer handles get a bounded
-  /// grace period (EngineOptions::quiesce_timeout_ms) to be released; if
-  /// any survive it, the checkpoint is *refused* (std::invalid_argument,
-  /// counted in checkpoint_refusals) — the drain can only quiesce rings no
-  /// one is filling. Refused with the same error if any shard is
+  /// run), pending results, published tallies — as every shard's
+  /// checkpoint_shard image in shard order (src/io/state_io.hpp wire
+  /// format). The engine keeps serving afterwards. Owner-thread call.
+  /// Extra Producer handles get a bounded grace period
+  /// (EngineOptions::quiesce_timeout_ms) to be released; if any survive
+  /// it, the checkpoint is *refused* (std::invalid_argument, counted in
+  /// checkpoint_refusals) — the drain can only quiesce rings no one is
+  /// filling. Refused with the same error if any shard is
   /// quarantined (checkpoint_shard the healthy ones instead).
   ///
-  /// `wal_mark` stamps the image with the op-log checkpoint-mark count it
-  /// corresponds to (see stream/recovery); 0 = no WAL.
+  /// `wal_mark` stamps every shard image with the op-log checkpoint-mark
+  /// count it corresponds to (see stream/recovery); 0 = no WAL.
   void checkpoint(std::ostream& os, std::uint64_t wal_mark = 0);
 
   /// Restores a checkpoint() image into this engine, which must be freshly
   /// constructed (no traffic yet) with the same shard count, machine and
   /// scheduler options (checked; throws std::invalid_argument otherwise).
-  /// Producer count, admission policy and spill budget are serving-side
-  /// knobs, not state — they may differ. A restored engine's subsequent
-  /// decisions and energies are bitwise identical to the uninterrupted
-  /// run's; certification counters may differ (caches restart cold).
-  /// Returns the image's wal_mark stamp.
+  /// Each shard image is read as restore_shard reads it, and all of them
+  /// must carry the same wal_mark. Producer count, admission depth and
+  /// spill budget are serving-side knobs, not state — they may differ. A
+  /// restored engine's subsequent decisions and energies are bitwise
+  /// identical to the uninterrupted run's; certification counters may
+  /// differ (caches restart cold).
+  /// Returns the images' common wal_mark stamp.
   std::uint64_t restore(std::istream& is);
 
   /// Serializes ONE healthy shard — same quiesce/drain contract as
@@ -380,17 +388,16 @@ class StreamEngine {
   /// timeout counts a refusal and returns false.
   bool quiesce_producers();
   void drain_shard(Shard& shard);
-  /// Shared config block of the checkpoint formats (shard count, machine,
-  /// delta, record_decisions) — what restore compatibility is checked
-  /// against.
-  void write_config(std::ostream& os) const;
-  void check_config(std::istream& is) const;
-  void write_shard_state(std::ostream& os, Shard& shard) const;
-  void read_shard_state(std::istream& is, Shard& shard);
+  /// The one checkpoint image codec (PSSSHRD4), shared by the shard and
+  /// engine entry points. The reader checks the config block (shard count,
+  /// machine, delta, record_decisions) against this engine and returns the
+  /// image's wal_mark.
+  void write_shard_image(std::ostream& os, Shard& shard,
+                         std::uint64_t wal_mark) const;
+  std::uint64_t read_shard_image(std::istream& is, Shard& shard);
 
   EngineOptions options_;
   StreamRouter router_;
-  ingest::AdmissionGate admission_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> paused_{false};
   std::atomic<bool> stopping_{false};

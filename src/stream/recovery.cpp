@@ -58,9 +58,13 @@ std::uint64_t CheckpointCoordinator::checkpoint() {
   return generation;
 }
 
-RecoveryReport recover_engine(StreamEngine& engine,
-                              const io::CheckpointDir& dir,
-                              std::istream& wal_stream) {
+namespace {
+
+// The one op-apply loop. Loads the newest valid part of each shard from
+// `dir` (none when dir is null: every shard cold, all marks 0), then
+// replays the WAL tail and drains.
+RecoveryReport recover(StreamEngine& engine, const io::CheckpointDir* dir,
+                       std::istream& wal_stream) {
   const std::size_t num_shards = engine.options().num_shards;
   RecoveryReport report;
   report.shard_generations.assign(num_shards, 0);
@@ -70,7 +74,7 @@ RecoveryReport recover_engine(StreamEngine& engine,
   for (std::size_t i = 0; i < num_shards; ++i) {
     std::string blob;
     std::uint64_t generation = 0;
-    if (!dir.load_part(i, blob, generation, &dir_stats)) {
+    if (dir == nullptr || !dir->load_part(i, blob, generation, &dir_stats)) {
       ++report.shards_cold;  // full replay for this shard's streams
       continue;
     }
@@ -106,7 +110,7 @@ RecoveryReport recover_engine(StreamEngine& engine,
       case ingest::OpKind::kArrival:
         // Offered once, like live traffic: a shed here is the engine's
         // policy outcome, counted rather than hidden. Bitwise recovery
-        // wants the default kBlock/no-admission configuration.
+        // wants the default kBlock configuration with admission_depth 0.
         if (engine.feed(StreamId(op.stream), op.job))
           ++report.frames_replayed;
         else
@@ -134,6 +138,18 @@ RecoveryReport recover_engine(StreamEngine& engine,
   report.wal_tail_truncated = reader.tail_truncated();
   engine.drain();
   return report;
+}
+
+}  // namespace
+
+RecoveryReport recover_engine(StreamEngine& engine,
+                              const io::CheckpointDir& dir,
+                              std::istream& wal_stream) {
+  return recover(engine, &dir, wal_stream);
+}
+
+RecoveryReport replay_op_log(std::istream& is, StreamEngine& engine) {
+  return recover(engine, nullptr, is);
 }
 
 }  // namespace pss::stream

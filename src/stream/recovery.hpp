@@ -20,6 +20,19 @@
 // never crashed. A torn final WAL frame (the crash was mid-append) ends
 // the replay cleanly; the op it tore was never fed anywhere.
 //
+// Op-log replay (replay_op_log) is the same loop with no checkpoint: every
+// shard starts cold (all marks 0), so every op is applied and the mark
+// frames are counted and skipped. Because the engine is bitwise
+// deterministic per stream, a replay under the same scheduler options
+// yields the decisions, counters and energies of the run that wrote the
+// log — the property `pss_cli replay` and the ingest tests pin.
+//
+// Control ops (open/advance/close) are retried until the ring takes them:
+// shedding a close would silently drop a stream's result. Arrivals are
+// offered once; a shed (admission_depth or kReject backpressure) is
+// counted in arrival_sheds, not hidden. Bitwise replay and recovery
+// therefore want the default kBlock configuration with admission_depth 0.
+//
 // Crash windows, and why each is safe:
 //   mid-append            -> torn WAL tail, op never fed: dropped cleanly.
 //   after mark, mid-part  -> torn part skipped; shard falls back a
@@ -115,5 +128,13 @@ struct RecoveryReport {
 RecoveryReport recover_engine(StreamEngine& engine,
                               const io::CheckpointDir& dir,
                               std::istream& wal_stream);
+
+/// Replays the op log on `is` into `engine`, then drains: recover_engine
+/// with every shard cold. The report equals recover_engine's over an empty
+/// CheckpointDir. A torn final frame ends
+/// the replay cleanly with wal_tail_truncated set; a malformed *complete*
+/// frame throws std::invalid_argument after the well-formed prefix has
+/// been applied.
+RecoveryReport replay_op_log(std::istream& is, StreamEngine& engine);
 
 }  // namespace pss::stream

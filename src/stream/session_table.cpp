@@ -148,32 +148,15 @@ void SessionTable::checkpoint(std::ostream& os) const {
     io::write_u64(os, r.id);
     io::save_counters(os, r.counters);
     io::write_f64(os, r.planned_energy);
-    io::write_u64(os, r.decisions.size());
-    for (const auto& [job, d] : r.decisions) {
-      io::write_i64(os, job);
-      io::write_u8(os, d.accepted ? 1 : 0);
-      io::write_f64(os, d.speed);
-      io::write_f64(os, d.lambda);
-      io::write_f64(os, d.planned_energy);
-    }
+    io::save_decisions(os, r.decisions);
   }
 }
-
-namespace {
-// Count sanity ahead of any allocation (a corrupt stream must not turn a
-// garbage u64 into a giant resize).
-std::uint64_t read_count(std::istream& is) {
-  const std::uint64_t n = io::read_u64(is);
-  PSS_REQUIRE(n <= (std::uint64_t(1) << 40), "corrupt checkpoint: count");
-  return n;
-}
-}  // namespace
 
 void SessionTable::restore(std::istream& is) {
   PSS_REQUIRE(open_.empty() && num_spilled() == 0 && completed_.empty() &&
                   num_closed_ == 0,
               "restore target table must be empty");
-  const std::uint64_t n_open = read_count(is);
+  const std::uint64_t n_open = io::read_count(is);
   for (std::uint64_t i = 0; i < n_open; ++i) {
     const auto id = static_cast<StreamId>(io::read_u64(is));
     // session() may evict an earlier restored session to honor the budget;
@@ -181,20 +164,13 @@ void SessionTable::restore(std::istream& is) {
     io::load_scheduler(is, session(id));
   }
   num_closed_ = io::read_i64(is);
-  const std::uint64_t n_completed = read_count(is);
+  const std::uint64_t n_completed = io::read_count(is);
   for (std::uint64_t i = 0; i < n_completed; ++i) {
     StreamResult r;
     r.id = static_cast<StreamId>(io::read_u64(is));
     io::load_counters(is, r.counters);
     r.planned_energy = io::read_f64(is);
-    r.decisions.resize(read_count(is));
-    for (auto& [job, d] : r.decisions) {
-      job = static_cast<model::JobId>(io::read_i64(is));
-      d.accepted = io::read_u8(is) != 0;
-      d.speed = io::read_f64(is);
-      d.lambda = io::read_f64(is);
-      d.planned_energy = io::read_f64(is);
-    }
+    io::load_decisions(is, r.decisions);
     completed_.push_back(std::move(r));
   }
 }

@@ -365,9 +365,10 @@ TEST(Checkpoint, RejectsMismatchedConfigurationAndGarbage) {
 
 // Images in the previous formats are refused up front as bad magic rather
 // than misparsed: engine images "PSSCKPT4" (session blobs with
-// backend-selector bytes and a tuner block) and "PSSCKPT5", and shard
-// images "PSSSHRD3" (config and session blobs with the windowed/lazy
-// bytes).
+// backend-selector bytes and a tuner block), "PSSCKPT5" and "PSSCKPT6"
+// (one engine header ahead of the shard states; an engine image is now
+// the shard images back to back), and shard images "PSSSHRD3" (config and
+// session blobs with the windowed/lazy bytes).
 TEST(Checkpoint, EngineRefusesPreviousFormatAsBadMagic) {
   stream::EngineOptions options;
   options.num_shards = 2;
@@ -389,8 +390,8 @@ TEST(Checkpoint, EngineRefusesPreviousFormatAsBadMagic) {
   std::ostringstream os(std::ios::binary);
   source.checkpoint(os);
   const std::string image = os.str();
-  ASSERT_EQ(image.substr(0, 8), "PSSCKPT6");
-  for (const char* previous : {"PSSCKPT4", "PSSCKPT5"}) {
+  ASSERT_EQ(image.substr(0, 8), "PSSSHRD4");
+  for (const char* previous : {"PSSCKPT4", "PSSCKPT5", "PSSCKPT6"}) {
     std::string old = image;
     old.replace(0, 8, previous);
     stream::StreamEngine target(options);
@@ -408,6 +409,140 @@ TEST(Checkpoint, EngineRefusesPreviousFormatAsBadMagic) {
   // The current shard image restores into the same fresh shard.
   std::istringstream current(shard_os.str(), std::ios::binary);
   EXPECT_NO_THROW((void)target.restore_shard(0, current));
+}
+
+// One checkpoint format: an engine image is every shard's checkpoint_shard
+// image in shard order — byte for byte the parts one CheckpointCoordinator
+// generation writes — and it restores to an engine that re-serializes to
+// the same bytes.
+TEST(Checkpoint, EngineImageIsTheShardImagesInShardOrder) {
+  stream::EngineOptions options;
+  options.num_shards = 3;
+  options.machine = kMachine;
+  options.record_decisions = true;
+  stream::StreamEngine engine(options);
+  for (stream::StreamId id = 0; id < 12; ++id) {
+    (void)engine.feed(id, {0, 0.0, 4.0, 1.0, 5.0});
+    (void)engine.feed(id, {1, 1.0, 3.0, 2.0, 0.5});
+  }
+  (void)engine.close_stream(4);
+  (void)engine.close_stream(7);
+  constexpr std::uint64_t kMark = 7;
+
+  std::ostringstream whole(std::ios::binary);
+  engine.checkpoint(whole, kMark);
+  std::string parts;
+  for (std::size_t i = 0; i < options.num_shards; ++i) {
+    std::ostringstream part(std::ios::binary);
+    engine.checkpoint_shard(i, part, kMark);
+    parts += part.str();
+  }
+  EXPECT_EQ(whole.str(), parts);
+
+  stream::StreamEngine restored(options);
+  std::istringstream is(whole.str(), std::ios::binary);
+  EXPECT_EQ(restored.restore(is), kMark);
+  std::ostringstream again(std::ios::binary);
+  restored.checkpoint(again, kMark);
+  EXPECT_EQ(again.str(), whole.str());
+}
+
+TEST(Checkpoint, EngineRefusesShardsWithDifferentWalMarks) {
+  stream::EngineOptions options;
+  options.num_shards = 2;
+  options.machine = kMachine;
+  stream::StreamEngine source(options);
+  for (stream::StreamId id = 0; id < 6; ++id)
+    (void)source.feed(id, {0, 0.0, 4.0, 1.0, 5.0});
+  const auto image = [&](std::uint64_t mark0, std::uint64_t mark1) {
+    std::ostringstream os(std::ios::binary);
+    source.checkpoint_shard(0, os, mark0);
+    source.checkpoint_shard(1, os, mark1);
+    return os.str();
+  };
+
+  stream::StreamEngine mixed(options);
+  std::istringstream is_mixed(image(1, 2), std::ios::binary);
+  EXPECT_THROW((void)mixed.restore(is_mixed), std::invalid_argument);
+
+  stream::StreamEngine equal(options);
+  std::istringstream is_equal(image(2, 2), std::ios::binary);
+  EXPECT_EQ(equal.restore(is_equal), 2u);
+}
+
+// Byte offsets into a PSSSHRD4 image: magic, wal_mark and shard index
+// (3 x u64), then the config block — num_shards (u64), m (i64),
+// alpha (f64), has_delta (bool), delta (f64), record_decisions (bool) —
+// then the tallies, enqueued first.
+constexpr std::size_t kHasDeltaAt = 8 * 6;
+constexpr std::size_t kRecordDecisionsAt = kHasDeltaAt + 1 + 8;
+constexpr std::size_t kEnqueuedAt = kRecordDecisionsAt + 1;
+
+// Images are only cut drained, so an image's enqueued tally equals its
+// processed tally. A gap must be refused on load: the restored engine's
+// next drain() would otherwise wait for ops that never come.
+TEST(Checkpoint, RefusesAnEnqueuedTallyAheadOfProcessed) {
+  stream::EngineOptions options;
+  options.machine = kMachine;
+  stream::StreamEngine source(options);
+  for (int j = 0; j < 3; ++j)
+    (void)source.feed(1, {j, double(j), double(j) + 4.0, 1.0, 5.0});
+  std::ostringstream os(std::ios::binary);
+  source.checkpoint(os);
+  std::string image = os.str();
+
+  std::istringstream enqueued_in(image.substr(kEnqueuedAt, 8),
+                                 std::ios::binary);
+  const std::uint64_t enqueued = io::read_u64(enqueued_in);
+  ASSERT_EQ(static_cast<long long>(enqueued),
+            source.snapshot().shards[0].enqueued);
+  std::ostringstream bumped(std::ios::binary);
+  io::write_u64(bumped, enqueued + 1);
+  image.replace(kEnqueuedAt, 8, bumped.str());
+
+  stream::StreamEngine target(options);
+  std::istringstream is(image, std::ios::binary);
+  EXPECT_THROW((void)target.restore(is), std::invalid_argument);
+  stream::StreamEngine shard_target(options);
+  std::istringstream shard_is(image, std::ios::binary);
+  EXPECT_THROW((void)shard_target.restore_shard(0, shard_is),
+               std::invalid_argument);
+}
+
+// A bool byte is 0 or 1. Any other value is corruption, refused rather
+// than read as "true" (which would restore, then re-serialize to different
+// bytes): both config bools and a recorded decision's accepted byte.
+TEST(Checkpoint, RefusesNonCanonicalBoolBytes) {
+  stream::EngineOptions options;
+  options.machine = kMachine;
+  options.scheduler.delta = 0.5;
+  options.record_decisions = true;
+  stream::StreamEngine source(options);
+  (void)source.feed(1, {0, 0.0, 4.0, 1.0, 5.0});
+  (void)source.feed(1, {1, 1.0, 3.0, 2.0, 0.5});
+  (void)source.close_stream(1);
+  std::ostringstream os(std::ios::binary);
+  source.checkpoint(os);
+  const std::string image = os.str();
+  // The image ends with the closed stream's decision log; the last
+  // decision is (i64 job, bool accepted, 3 x f64).
+  const std::size_t last_accepted_at = image.size() - 3 * 8 - 1;
+  ASSERT_EQ(image[kHasDeltaAt], 1);
+  ASSERT_EQ(image[kRecordDecisionsAt], 1);
+
+  for (const std::size_t at :
+       {kHasDeltaAt, kRecordDecisionsAt, last_accepted_at}) {
+    ASSERT_LE(static_cast<unsigned char>(image[at]), 1) << "offset " << at;
+    std::string corrupt = image;
+    corrupt[at] = 0x02;
+    stream::StreamEngine target(options);
+    std::istringstream is(corrupt, std::ios::binary);
+    EXPECT_THROW((void)target.restore(is), std::invalid_argument)
+        << "offset " << at;
+  }
+  stream::StreamEngine target(options);
+  std::istringstream is(image, std::ios::binary);
+  EXPECT_NO_THROW((void)target.restore(is));
 }
 
 TEST(Checkpoint, FreshSchedulerRoundTrips) {

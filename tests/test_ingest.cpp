@@ -20,12 +20,12 @@
 #include <vector>
 
 #include "core/pd_scheduler.hpp"
-#include "ingest/admission.hpp"
 #include "ingest/op_log.hpp"
 #include "ingest/spill.hpp"
+#include "io/state_io.hpp"
 #include "sim/stream_sweep.hpp"
 #include "stream/engine.hpp"
-#include "stream/replay.hpp"
+#include "stream/recovery.hpp"
 #include "stream/session_table.hpp"
 #include "support/stream_oracle.hpp"
 
@@ -233,7 +233,7 @@ TEST(OpLog, RejectsUnknownOpKind) {
   const std::size_t body_at = 8 + 1 + 8;
   const std::size_t body_len = bytes.size() - body_at - 8;
   bytes[body_at] = 9;
-  const std::uint32_t crc = ingest::crc32(
+  const std::uint32_t crc = io::crc32(
       reinterpret_cast<const unsigned char*>(bytes.data() + body_at),
       body_len);
   for (int i = 0; i < 8; ++i)
@@ -278,8 +278,8 @@ TEST(OpLog, NanPayloadIsContainedPerOpNotPoisonous) {
 
   stream::StreamEngine engine(engine_options(1));
   std::istringstream is(std::move(os).str(), std::ios::binary);
-  const stream::ReplayStats stats = stream::replay_op_log(is, engine);
-  EXPECT_EQ(stats.frames, 5);
+  const stream::RecoveryReport report = stream::replay_op_log(is, engine);
+  EXPECT_EQ(report.frames_seen, 5);
   const auto results = engine.finish();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].counters.arrivals, 2);  // the two well-formed jobs
@@ -291,7 +291,7 @@ TEST(OpLog, NanPayloadIsContainedPerOpNotPoisonous) {
 TEST(OpLog, Crc32MatchesKnownVector) {
   // The standard check value for CRC-32/ISO-HDLC: crc32("123456789").
   const unsigned char data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(ingest::crc32(data, 9), 0xCBF43926u);
+  EXPECT_EQ(io::crc32(data, 9), 0xCBF43926u);
 }
 
 // Replay is bitwise identical to direct ingestion, and both are bitwise
@@ -332,8 +332,8 @@ TEST(OpLog, ReplayMatchesDirectIngestionAcrossOptionCube) {
 
   stream::StreamEngine replayed(options);
   std::istringstream is(log, std::ios::binary);
-  const stream::ReplayStats stats = stream::replay_op_log(is, replayed);
-  EXPECT_EQ(stats.arrival_sheds, 0);
+  const stream::RecoveryReport report = stream::replay_op_log(is, replayed);
+  EXPECT_EQ(report.arrival_sheds, 0);
   const auto got = replayed.finish();
   expect_streams_bitwise_equal(want, got);
 
@@ -345,59 +345,61 @@ TEST(OpLog, ReplayMatchesDirectIngestionAcrossOptionCube) {
 
 // -------------------------------------------------------------- admission
 
-TEST(AdmissionGate, NonePolicyAdmitsEverything) {
-  ingest::AdmissionGate gate({});
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(gate.admit(1u << 20));
+TEST(StreamEngine, ZeroAdmissionDepthNeverSheds) {
+  // admission_depth 0 (the default) admits every arrival, even into a full
+  // ring: the only sheds left are the ring's own kReject ones.
+  stream::EngineOptions options = engine_options(1);
+  options.queue_capacity = 8;
+  options.backpressure = stream::Backpressure::kReject;
+  options.start_paused = true;  // nothing drains: depth only grows
+  ASSERT_EQ(options.admission_depth, 0u);
+  stream::StreamEngine engine(options);
+
+  const auto jobs =
+      sim::make_stream_jobs(small_config(1, 12), 0, kMachine.alpha);
+  int fed = 0;
+  for (const model::Job& job : jobs)
+    if (engine.feed(3, job)) ++fed;
+  EXPECT_EQ(fed, 8);  // ring capacity, not an admission threshold
+  const auto full = engine.snapshot();
+  EXPECT_EQ(full.admission_rejects, 0);
+  EXPECT_EQ(full.queue_rejects, 4);
+  engine.resume();
+  engine.drain();
+  EXPECT_TRUE(engine.close_stream(3));
+  const auto results = engine.finish();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].counters.arrivals, 8);
 }
 
-TEST(AdmissionGate, ManualTokenBucketIsDeterministic) {
-  ingest::AdmissionOptions options;
-  options.policy = ingest::AdmissionPolicy::kTokenBucket;
-  options.burst = 3.0;
-  options.tokens_per_sec = 0.0;
-  options.manual_refill = true;
-  ingest::AdmissionGate gate(options);
-  EXPECT_TRUE(gate.admit(0));  // the bucket starts full: burst of 3
-  EXPECT_TRUE(gate.admit(0));
-  EXPECT_TRUE(gate.admit(0));
-  EXPECT_FALSE(gate.admit(0));  // dry
-  EXPECT_FALSE(gate.admit(0));
-  gate.refill(2.0);
-  EXPECT_TRUE(gate.admit(0));
-  EXPECT_TRUE(gate.admit(0));
-  EXPECT_FALSE(gate.admit(0));
-  gate.refill(100.0);  // clamped at burst
-  EXPECT_EQ(gate.tokens(), 3.0);
-}
+TEST(StreamEngine, AdmissionDepthShedsAtTheThreshold) {
+  // An arrival is admitted iff its target ring holds fewer than
+  // admission_depth ops; a ring at or past the threshold sheds.
+  stream::EngineOptions options = engine_options(1);
+  options.queue_capacity = 64;
+  options.start_paused = true;
+  options.admission_depth = 1;
+  stream::StreamEngine engine(options);
 
-TEST(AdmissionGate, QueueDepthPolicyShedsBackedUpRings) {
-  ingest::AdmissionOptions options;
-  options.policy = ingest::AdmissionPolicy::kQueueDepth;
-  options.max_queue_depth = 4;
-  ingest::AdmissionGate gate(options);
-  EXPECT_TRUE(gate.admit(0));
-  EXPECT_TRUE(gate.admit(3));
-  EXPECT_FALSE(gate.admit(4));
-  EXPECT_FALSE(gate.admit(100));
-}
-
-TEST(AdmissionGate, RejectsSenselessConfiguration) {
-  ingest::AdmissionOptions bucket;
-  bucket.policy = ingest::AdmissionPolicy::kTokenBucket;
-  bucket.burst = 0.0;
-  EXPECT_THROW(ingest::AdmissionGate{bucket}, std::invalid_argument);
-  ingest::AdmissionOptions depth;
-  depth.policy = ingest::AdmissionPolicy::kQueueDepth;
-  depth.max_queue_depth = 0;
-  EXPECT_THROW(ingest::AdmissionGate{depth}, std::invalid_argument);
+  const auto jobs =
+      sim::make_stream_jobs(small_config(1, 3), 0, kMachine.alpha);
+  EXPECT_TRUE(engine.feed(5, jobs[0]));   // depth 0 < 1
+  EXPECT_FALSE(engine.feed(5, jobs[1]));  // depth 1: at the threshold
+  EXPECT_TRUE(engine.advance(5, jobs[1].release));  // control op: depth 2
+  EXPECT_FALSE(engine.feed(5, jobs[2]));  // depth 2: past it
+  EXPECT_EQ(engine.snapshot().admission_rejects, 2);
+  engine.resume();
+  engine.close_stream(5);
+  const auto results = engine.finish();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].counters.arrivals, 1);
 }
 
 TEST(StreamEngine, AdmissionShedsArrivalsBeforeTheRing) {
   stream::EngineOptions options = engine_options(1);
-  options.admission.policy = ingest::AdmissionPolicy::kTokenBucket;
-  options.admission.burst = 5.0;
-  options.admission.tokens_per_sec = 0.0;
-  options.admission.manual_refill = true;
+  options.queue_capacity = 64;
+  options.start_paused = true;  // the ring backs up to the threshold
+  options.admission_depth = 5;
   stream::StreamEngine engine(options);
 
   const auto jobs =
@@ -405,11 +407,13 @@ TEST(StreamEngine, AdmissionShedsArrivalsBeforeTheRing) {
   int fed = 0;
   for (const model::Job& job : jobs)
     if (engine.feed(9, job)) ++fed;
-  EXPECT_EQ(fed, 5);  // exactly the burst
-  // Control ops always pass a dry bucket: shedding a close would drop the
-  // stream's whole result.
+  EXPECT_EQ(fed, 5);  // exactly the threshold
+  // Control ops always pass a backed-up ring: shedding a close would drop
+  // the stream's whole result.
   EXPECT_TRUE(engine.advance(9, jobs.back().release));
-  engine.admission().refill(1.0);
+  // Once the worker drains the ring, arrivals are admitted again.
+  engine.resume();
+  engine.drain();
   model::Job extra = jobs.back();
   extra.id = 99;
   EXPECT_TRUE(engine.feed(9, extra));
@@ -428,8 +432,7 @@ TEST(StreamEngine, QueueDepthAdmissionIsDistinctFromQueueRejects) {
   stream::EngineOptions options = engine_options(1);
   options.queue_capacity = 64;
   options.start_paused = true;  // nothing drains: depth only grows
-  options.admission.policy = ingest::AdmissionPolicy::kQueueDepth;
-  options.admission.max_queue_depth = 4;
+  options.admission_depth = 4;
   stream::StreamEngine engine(options);
 
   const auto jobs =

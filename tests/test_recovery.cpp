@@ -517,6 +517,56 @@ TEST(WalRecovery, BitwiseAcrossTheOptionCube) {
   }
 }
 
+// Op-log replay is recovery with no checkpoint: replay_op_log over a WAL
+// (mark frames included) and recover_engine over an empty CheckpointDir
+// run the same loop, so they report the same counters and finish with
+// bitwise-equal results — both equal to the uninterrupted run.
+TEST(WalRecovery, ReplayOpLogEqualsRecoveryFromAnEmptyDir) {
+  const std::vector<ingest::IngestOp> ops = drill_ops(4, 6);
+  const stream::EngineOptions options = engine_options(3);
+  const std::vector<stream::StreamResult> want =
+      run_uninterrupted(options, ops);
+  const std::string ckpt = fresh_dir("replay_ckpt");
+  const ServeArtifacts artifacts = serve_with_wal(options, ops, ckpt, 7);
+  ASSERT_FALSE(artifacts.crashed);
+
+  stream::StreamEngine replayed(options);
+  std::istringstream replay_is(artifacts.wal_bytes, std::ios::binary);
+  const stream::RecoveryReport a =
+      stream::replay_op_log(replay_is, replayed);
+
+  const std::string empty_path = fresh_dir("replay_empty");
+  const io::CheckpointDir empty(empty_path);
+  stream::StreamEngine recovered(options);
+  std::istringstream recover_is(artifacts.wal_bytes, std::ios::binary);
+  const stream::RecoveryReport b =
+      stream::recover_engine(recovered, empty, recover_is);
+
+  EXPECT_GT(a.marks_seen, 0);
+  EXPECT_EQ(a.generation, b.generation);
+  EXPECT_EQ(a.shard_generations, b.shard_generations);
+  EXPECT_EQ(a.shard_marks, b.shard_marks);
+  EXPECT_EQ(a.shards_cold, options.num_shards);
+  EXPECT_EQ(a.shards_cold, b.shards_cold);
+  EXPECT_EQ(a.frames_seen, b.frames_seen);
+  EXPECT_EQ(a.frames_replayed, b.frames_replayed);
+  EXPECT_EQ(a.frames_skipped, 0);
+  EXPECT_EQ(a.frames_skipped, b.frames_skipped);
+  EXPECT_EQ(a.arrival_sheds, b.arrival_sheds);
+  EXPECT_EQ(a.marks_seen, b.marks_seen);
+  EXPECT_EQ(a.torn_parts, b.torn_parts);
+  EXPECT_EQ(a.crc_bad_parts, b.crc_bad_parts);
+  EXPECT_EQ(a.wal_tail_truncated, b.wal_tail_truncated);
+  EXPECT_EQ(a.frames_seen, a.frames_replayed + a.marks_seen);
+
+  const std::vector<stream::StreamResult> got_replay = replayed.finish();
+  const std::vector<stream::StreamResult> got_recover = recovered.finish();
+  expect_streams_bitwise_equal(got_replay, got_recover);
+  expect_streams_bitwise_equal(got_replay, want);
+  std::filesystem::remove_all(ckpt);
+  std::filesystem::remove_all(empty_path);
+}
+
 // ------------------------------------------- kill at every fault site
 
 // The tentpole drill: rehearse once to count how often each owner-thread
