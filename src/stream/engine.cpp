@@ -34,6 +34,10 @@ StreamEngine::StreamEngine(EngineOptions options)
   shards_.reserve(options_.num_shards);
   for (std::size_t i = 0; i < options_.num_shards; ++i)
     shards_.push_back(std::make_unique<Shard>(options_, i));
+  // A ring never holds more than its rounded capacity, so a larger
+  // threshold could never fire: refuse it rather than silently never shed.
+  PSS_REQUIRE(options_.admission_depth <= shards_[0]->queues[0]->capacity(),
+              "admission_depth exceeds the ring capacity and can never shed");
   for (auto& shard : shards_)
     shard->worker = std::thread([this, s = shard.get()] { worker_loop(*s); });
 }

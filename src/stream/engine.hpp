@@ -108,7 +108,8 @@ struct EngineOptions {
   bool start_paused = false;
   /// Shed-before-enqueue admission: an arrival whose target ring already
   /// holds at least this many ops is shed (admission_rejects). 0 = never
-  /// shed. Control ops (open/advance/close) always pass.
+  /// shed. Control ops (open/advance/close) always pass. Must not exceed
+  /// the rounded ring capacity, which would make it unreachable.
   std::size_t admission_depth = 0;
   /// How long checkpoint() waits for extra producer handles to be released
   /// before refusing (counted in EngineSnapshot::checkpoint_refusals). A

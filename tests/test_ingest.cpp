@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -345,7 +346,7 @@ TEST(OpLog, ReplayMatchesDirectIngestionAcrossOptionCube) {
 
 // -------------------------------------------------------------- admission
 
-TEST(StreamEngine, ZeroAdmissionDepthNeverSheds) {
+TEST(AdmissionGate, NonePolicyAdmitsEverything) {
   // admission_depth 0 (the default) admits every arrival, even into a full
   // ring: the only sheds left are the ring's own kReject ones.
   stream::EngineOptions options = engine_options(1);
@@ -393,6 +394,35 @@ TEST(StreamEngine, AdmissionDepthShedsAtTheThreshold) {
   const auto results = engine.finish();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].counters.arrivals, 1);
+}
+
+TEST(AdmissionGate, RejectsSenselessConfiguration) {
+  // A threshold above the rounded ring capacity could never fire (a ring
+  // holds at most capacity ops), so the engine refuses it up front.
+  stream::EngineOptions options = engine_options(2);
+  options.queue_capacity = 6;  // rounds up to 8
+  options.admission_depth = 9;
+  EXPECT_THROW(stream::StreamEngine{options}, std::invalid_argument);
+  // The capacity itself is the largest threshold that can still shed.
+  options.admission_depth = 8;
+  options.start_paused = true;
+  options.backpressure = stream::Backpressure::kReject;
+  stream::StreamEngine engine(options);
+  const auto jobs =
+      sim::make_stream_jobs(small_config(1, 9), 0, kMachine.alpha);
+  int fed = 0;
+  for (const model::Job& job : jobs)
+    if (engine.feed(4, job)) ++fed;
+  EXPECT_EQ(fed, 8);
+  const auto full = engine.snapshot();
+  EXPECT_EQ(full.admission_rejects, 1);  // shed at admission, not the ring
+  EXPECT_EQ(full.queue_rejects, 0);
+  engine.resume();
+  engine.drain();  // the ring is full: let it empty before the close
+  EXPECT_TRUE(engine.close_stream(4));
+  const auto results = engine.finish();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].counters.arrivals, 8);
 }
 
 TEST(StreamEngine, AdmissionShedsArrivalsBeforeTheRing) {
