@@ -65,7 +65,6 @@ EngineOptions make_options(std::size_t producers, bool record_decisions) {
   EngineOptions options;
   options.num_shards = 4;
   options.queue_capacity = 4096;
-  options.drain_batch = 128;
   options.machine = kMachine;
   options.record_decisions = record_decisions;
   options.max_producers = producers;

@@ -60,7 +60,6 @@ EngineOptions make_options(std::size_t shards, bool record_decisions) {
   EngineOptions options;
   options.num_shards = shards;
   options.queue_capacity = 4096;
-  options.drain_batch = 128;
   options.machine = kMachine;
   options.record_decisions = record_decisions;
   return options;

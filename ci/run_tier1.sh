@@ -197,12 +197,13 @@ echo "benchmark-checks: OK (every perfbench workload passed its output checks)"
 # Build a second tree with ASan+UBSan and run the suites that exercise
 # prefix compaction, checkpoint/restore and the stream engine end to end,
 # plus the oracle differential suite, which drives the engine (segment-tree
-# screen, lazy annotations, curve cache) hardest, and the lazy-level and
+# screen, lazy annotations, curve cache) hardest, the lazy-level and
 # screen suites: annotation materialization and tree maintenance run on
-# every arrival.
+# every arrival, and the ingest suite: op-log frame decoding and the
+# spill/restore byte paths.
 cd "${ROOT}"
 SAN_DIR="${BUILD_DIR}-asan"
-SAN_SUITES="test_compaction test_stream test_interval_store test_recovery test_differential test_lazy_levels test_window"
+SAN_SUITES="test_compaction test_stream test_interval_store test_recovery test_differential test_lazy_levels test_window test_ingest"
 rm -rf "${SAN_DIR}"
 cmake -B "${SAN_DIR}" -S . -DPSS_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug > /dev/null
 cmake --build "${SAN_DIR}" -j --target ${SAN_SUITES}

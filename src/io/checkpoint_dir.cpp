@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "io/state_io.hpp"
@@ -18,10 +17,11 @@ namespace pss::io {
 
 namespace {
 
-// "PSSCKPF1" / "PSSMANI1" as little-endian u64s — version byte last.
+// "PSSCKPF1" as a little-endian u64 — version byte last.
 constexpr std::uint64_t kPartMagic = 0x3146504B43535350ull;
-constexpr std::uint64_t kManifestMagic = 0x31494E414D535350ull;
-constexpr std::uint64_t kMaxBlob = std::uint64_t(1) << 40;
+// Frame bytes around the body: four u64 header fields and the u64 CRC.
+constexpr std::uint64_t kHeaderBytes = 4 * 8;
+constexpr std::uint64_t kCrcBytes = 8;
 
 // Durability primitive: fsync by path. A rename is only crash-safe once
 // both the file's bytes and the directory entry are on stable storage.
@@ -118,49 +118,6 @@ void CheckpointDir::write_part(std::uint64_t generation, std::uint64_t part,
   fsync_path(path_, /*directory=*/true);
 }
 
-void CheckpointDir::commit_generation(std::uint64_t generation,
-                                      std::uint64_t num_parts) {
-  std::string payload(16, '\0');
-  store_u64(reinterpret_cast<unsigned char*>(payload.data()), generation);
-  store_u64(reinterpret_cast<unsigned char*>(payload.data()) + 8, num_parts);
-  const std::string final_path = path_ + "/MANIFEST.pssm";
-  const std::string tmp_path = final_path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    PSS_CHECK(out.good(), "manifest temp open failed: " + tmp_path);
-    write_u64(out, kManifestMagic);
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    write_u64(out, crc_of(payload));
-    out.flush();
-    PSS_CHECK(out.good(), "manifest temp write failed: " + tmp_path);
-  }
-  fsync_path(tmp_path, /*directory=*/false);
-  PSS_FAULT_POINT("ckpt.manifest");
-  std::filesystem::rename(tmp_path, final_path);
-  fsync_path(path_, /*directory=*/true);
-}
-
-std::optional<CheckpointDir::Manifest> CheckpointDir::manifest() const {
-  std::ifstream in(path_ + "/MANIFEST.pssm", std::ios::binary);
-  if (!in.good()) return std::nullopt;
-  try {
-    PSS_REQUIRE(read_u64(in) == kManifestMagic, "manifest magic");
-    std::string payload(16, '\0');
-    in.read(payload.data(), 16);
-    PSS_REQUIRE(in.gcount() == 16, "manifest truncated");
-    const std::uint64_t crc = read_u64(in);
-    PSS_REQUIRE(crc == crc_of(payload), "manifest checksum");
-    Manifest m;
-    m.generation =
-        fetch_u64(reinterpret_cast<const unsigned char*>(payload.data()));
-    m.num_parts =
-        fetch_u64(reinterpret_cast<const unsigned char*>(payload.data()) + 8);
-    return m;
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;  // torn/corrupt manifest: the scan takes over
-  }
-}
-
 bool CheckpointDir::load_part(std::uint64_t part, std::string& blob,
                               std::uint64_t& generation,
                               CheckpointDirStats* stats) const {
@@ -173,16 +130,25 @@ bool CheckpointDir::load_part(std::uint64_t part, std::string& blob,
   }
   std::sort(candidates.rbegin(), candidates.rend());
   for (std::uint64_t g : candidates) {
-    std::ifstream in(part_path(g, part), std::ios::binary);
-    if (!in.good()) continue;
+    const std::string file = part_path(g, part);
+    std::error_code size_error;
+    const std::uint64_t file_size =
+        std::filesystem::file_size(file, size_error);
+    std::ifstream in(file, std::ios::binary);
+    if (size_error || !in.good()) continue;
     try {
       if (read_u64(in) != kPartMagic || read_u64(in) != g ||
           read_u64(in) != part) {
         if (stats != nullptr) ++stats->crc_bad;
         continue;
       }
+      // Checked against the bytes the file actually holds *before* the
+      // allocation: a flipped length bit must make a torn candidate, not a
+      // std::bad_alloc that aborts the fallback to an older generation.
       const std::uint64_t body_len = read_u64(in);
-      PSS_REQUIRE(body_len <= kMaxBlob, "implausible checkpoint length");
+      PSS_REQUIRE(file_size >= kHeaderBytes + kCrcBytes &&
+                      body_len <= file_size - kHeaderBytes - kCrcBytes,
+                  "checkpoint length runs past the end of the file");
       std::string body(body_len, '\0');
       in.read(body.data(), static_cast<std::streamsize>(body_len));
       PSS_REQUIRE(static_cast<std::uint64_t>(in.gcount()) == body_len,

@@ -13,21 +13,16 @@
 //     detected on read — a bad candidate is *skipped* (tallied in
 //     CheckpointDirStats), never fatal, and the loader falls back to the
 //     next-older generation of that part;
-//   * a generation manifest records the newest complete generation (also
-//     written atomically). The manifest is advisory — pruning policy and a
-//     fast path for tooling — not a correctness dependency: load_part
-//     scans the directory and takes the newest valid candidate, so a crash
-//     between part renames and the manifest update loses nothing.
+//   * there is no index file: load_part scans the directory and takes the
+//     newest valid candidate, so the part files are the whole on-disk
+//     state and a crash between two part renames loses nothing.
 //
 // Layout inside the directory:
 //   g<generation 8 digits>_p<part 3 digits>.pssc   — framed checkpoint blob
-//   MANIFEST.pssm                                  — newest complete gen
 //   *.tmp                                          — torn writes (ignored)
 //
 // Part file := [u64 magic "PSSCKPF1"] [u64 generation] [u64 part]
 //              [u64 body_len] [body] [u64 crc32(body)]
-// Manifest  := [u64 magic "PSSMANI1"] [u64 generation] [u64 num_parts]
-//              [u64 crc32 of the 16 payload bytes]
 //
 // Thread contract: one writer at a time; readers may race writers (they
 // only ever see fully-renamed files plus possibly-torn leftovers, which
@@ -35,14 +30,13 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace pss::io {
 
 /// What load_part skipped while hunting for a valid candidate.
 struct CheckpointDirStats {
-  long long torn = 0;     // short file / truncated frame
+  long long torn = 0;     // short file / truncated frame / length past EOF
   long long crc_bad = 0;  // full frame, checksum or header mismatch
 };
 
@@ -64,18 +58,6 @@ class CheckpointDir {
   void write_part(std::uint64_t generation, std::uint64_t part,
                   const std::string& blob);
 
-  /// Atomically records `generation` (with `num_parts` parts) as the
-  /// newest complete generation. Fault site: "ckpt.manifest".
-  void commit_generation(std::uint64_t generation, std::uint64_t num_parts);
-
-  struct Manifest {
-    std::uint64_t generation = 0;
-    std::uint64_t num_parts = 0;
-  };
-  /// The manifest, or nullopt when missing/torn/corrupt (recovery then
-  /// relies on the directory scan alone).
-  [[nodiscard]] std::optional<Manifest> manifest() const;
-
   /// Loads the newest valid blob for `part` into `blob`, reporting its
   /// generation. Torn/CRC-bad candidates are skipped and tallied into
   /// `stats` (if given). Returns false when no valid candidate exists.
@@ -84,7 +66,7 @@ class CheckpointDir {
                  CheckpointDirStats* stats = nullptr) const;
 
   /// Removes every part file (and temp leftover) of generations strictly
-  /// below `keep_from` — the retention policy after a commit.
+  /// below `keep_from` — the retention policy after a checkpoint.
   void prune_below(std::uint64_t keep_from);
 
  private:

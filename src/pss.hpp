@@ -40,9 +40,8 @@
 #include "baselines/replan_engine.hpp"
 #include "baselines/yds.hpp"
 
-// Ingest front end: session spill, binary op logs.
+// Ingest front end: the binary op log (the write-ahead log's format).
 #include "ingest/op_log.hpp"
-#include "ingest/spill.hpp"
 
 // The sharded multi-stream serving engine (systems layer over core).
 #include "stream/engine.hpp"

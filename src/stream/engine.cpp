@@ -14,6 +14,10 @@
 namespace pss::stream {
 
 namespace {
+// Max ops a worker drains per wake: the batching grain, amortizing one
+// stats lock and one publish over up to this many applied ops.
+constexpr std::size_t kDrainBatch = 128;
+
 // Balances the in_flight_ registration on every exit path out of enqueue()
 // (including the PSS_REQUIRE throw on a blocking push into a paused engine).
 struct InFlightGuard {
@@ -28,7 +32,6 @@ StreamEngine::StreamEngine(EngineOptions options)
       paused_(options.start_paused) {
   PSS_REQUIRE(options_.num_shards >= 1, "need at least one shard");
   PSS_REQUIRE(options_.max_producers >= 1, "need at least one producer slot");
-  PSS_REQUIRE(options_.drain_batch >= 1, "drain_batch must be positive");
   slot_used_.assign(options_.max_producers, false);
   slot_used_[0] = true;  // the owner thread
   shards_.reserve(options_.num_shards);
@@ -369,7 +372,6 @@ std::uint64_t StreamEngine::read_shard_image(std::istream& is, Shard& shard) {
   p.session_spills = shard.sessions.num_spills();
   p.session_restores = shard.sessions.num_spill_restores();
   p.spill_errors = shard.sessions.num_spill_errors();
-  p.spill_retries = shard.sessions.num_spill_retries();
   {
     std::lock_guard lock(shard.stats_mutex);
     shard.published = p;
@@ -510,7 +512,6 @@ EngineSnapshot StreamEngine::snapshot() const {
     snap.session_spills += s.session_spills;
     snap.session_restores += s.session_restores;
     snap.spill_errors += s.spill_errors;
-    snap.spill_retries += s.spill_retries;
     snap.closed_streams += s.closed_streams;
     if (s.degraded) {
       ++snap.degraded_shards;
@@ -529,7 +530,7 @@ EngineSnapshot StreamEngine::snapshot() const {
 
 void StreamEngine::worker_loop(Shard& shard) {
   std::vector<ShardOp> batch;
-  batch.reserve(options_.drain_batch);
+  batch.reserve(kDrainBatch);
   const std::size_t num_queues = shard.queues.size();
   // Per-shard fault site: drills can kill shard 2's worker specifically
   // and watch shards 0,1,3.. keep serving.
@@ -549,9 +550,9 @@ void StreamEngine::worker_loop(Shard& shard) {
 
     batch.clear();
     for (std::size_t k = 0;
-         k < num_queues && batch.size() < options_.drain_batch; ++k) {
+         k < num_queues && batch.size() < kDrainBatch; ++k) {
       shard.queues[(next_queue + k) % num_queues]->pop_batch(
-          batch, options_.drain_batch - batch.size());
+          batch, kDrainBatch - batch.size());
     }
     next_queue = (next_queue + 1) % num_queues;
     if (batch.empty()) {
@@ -666,7 +667,6 @@ void StreamEngine::worker_loop(Shard& shard) {
       p.session_spills = shard.sessions.num_spills();
       p.session_restores = shard.sessions.num_spill_restores();
       p.spill_errors = shard.sessions.num_spill_errors();
-      p.spill_retries = shard.sessions.num_spill_retries();
     }
     shard.drained_cv.notify_all();  // drain() waiters and blocked producers
   }

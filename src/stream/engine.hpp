@@ -31,8 +31,10 @@
 // The check reads only the ring depth, never a clock.
 //
 // Under an EngineOptions::spill budget each shard's SessionTable keeps at
-// most max_resident sessions live and spills the coldest to a blob store
-// through the checkpoint path (decision-identical; see session_table.hpp).
+// most max_resident sessions live and spills the coldest to an in-memory
+// blob through the checkpoint path (decision-identical; see
+// session_table.hpp). Nothing here touches disk: the op log and the
+// checkpoint parts (stream/recovery) are the serving stack's only files.
 //
 // Shutdown contract: finish() (and the destructor) first flips an atomic
 // accepting gate and waits out in-flight enqueues, so a producer that races
@@ -70,12 +72,10 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/pd_scheduler.hpp"
-#include "ingest/spill.hpp"
 #include "model/instance.hpp"
 #include "model/job.hpp"
 #include "stream/router.hpp"
@@ -97,8 +97,6 @@ struct EngineOptions {
   std::size_t max_producers = 1;
   /// Per-ring capacity (rounded up to a power of two).
   std::size_t queue_capacity = 1024;
-  /// Max ops a worker drains per wake; the batching grain.
-  std::size_t drain_batch = 128;
   Backpressure backpressure = Backpressure::kBlock;
   /// Capture per-arrival decisions into StreamResult (memory-heavy; meant
   /// for tests and differential checks, not bulk serving).
@@ -116,8 +114,8 @@ struct EngineOptions {
   /// serving loop can then retry at the next cadence instead of crashing.
   long long quiesce_timeout_ms = 200;
   /// Per-shard session residency budget; max_resident == 0 disables
-  /// spilling. A non-empty directory gets a per-shard subdirectory.
-  ingest::SpillOptions spill{};
+  /// spilling.
+  SpillOptions spill{};
   /// Machine every session runs on.
   model::Machine machine{1, 2.0};
   /// PD configuration for every session.
@@ -144,10 +142,9 @@ struct ShardSnapshot {
   std::size_t open_streams = 0;  // resident + spilled
   std::size_t resident_sessions = 0;
   std::size_t spilled_sessions = 0;
-  long long session_spills = 0;    // evictions to the spill store, ever
-  long long session_restores = 0;  // spill-store restores, ever
-  long long spill_errors = 0;      // spill IO failures past all retries
-  long long spill_retries = 0;     // spill IO attempts retried (backoff)
+  long long session_spills = 0;    // evictions to a spilled blob, ever
+  long long session_restores = 0;  // spilled-blob restores, ever
+  long long spill_errors = 0;      // spilled blobs that failed to load
   long long closed_streams = 0;
   double closed_energy = 0.0;           // exact, closed sessions
   core::PdCounters counters;            // aggregated over closed sessions
@@ -177,7 +174,6 @@ struct EngineSnapshot {
   long long session_spills = 0;
   long long session_restores = 0;
   long long spill_errors = 0;
-  long long spill_retries = 0;
   long long closed_streams = 0;
   std::size_t degraded_shards = 0;
   std::size_t degraded_sessions = 0;
@@ -322,19 +318,11 @@ class StreamEngine {
     Shard(const EngineOptions& options, std::size_t index)
         : index(index),
           sessions(options.machine, options.scheduler,
-                   options.record_decisions, shard_spill(options, index)) {
+                   options.record_decisions, options.spill) {
       queues.reserve(options.max_producers);
       for (std::size_t p = 0; p < options.max_producers; ++p)
         queues.push_back(
             std::make_unique<SpscQueue<ShardOp>>(options.queue_capacity));
-    }
-
-    static ingest::SpillOptions shard_spill(const EngineOptions& options,
-                                            std::size_t index) {
-      ingest::SpillOptions spill = options.spill;
-      if (!spill.directory.empty())
-        spill.directory += "/shard_" + std::to_string(index);
-      return spill;
     }
 
     [[nodiscard]] bool queues_empty() const {

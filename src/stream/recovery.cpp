@@ -15,17 +15,8 @@ namespace pss::stream {
 CheckpointCoordinator::CheckpointCoordinator(StreamEngine& engine,
                                              ingest::OpLogWriter& wal,
                                              std::ostream& wal_stream,
-                                             io::CheckpointDir& dir,
-                                             WalCheckpointOptions options,
-                                             std::uint64_t initial_marks)
-    : engine_(engine),
-      wal_(wal),
-      wal_stream_(wal_stream),
-      dir_(dir),
-      options_(options),
-      marks_(initial_marks) {
-  PSS_REQUIRE(options_.keep_generations >= 1, "must keep >= 1 generation");
-}
+                                             io::CheckpointDir& dir)
+    : engine_(engine), wal_(wal), wal_stream_(wal_stream), dir_(dir) {}
 
 std::uint64_t CheckpointCoordinator::checkpoint() {
   // Order is the whole point:
@@ -33,10 +24,9 @@ std::uint64_t CheckpointCoordinator::checkpoint() {
   //      this checkpoint's coverage ends;
   //   2. publish every shard part stamped with that mark (each part is
   //      individually atomic: temp + fsync + rename);
-  //   3. commit the manifest and prune.
+  //   3. prune, only once the whole new generation is on disk.
   // A crash after 1 is a no-op mark; after any prefix of 2, recovery uses
-  // the previous generation for the missing shards; after 2, the
-  // directory scan finds the parts with or without the manifest.
+  // the previous generation for the missing shards.
   ingest::IngestOp mark;
   mark.kind = ingest::OpKind::kCheckpointMark;
   mark.stream = 0;
@@ -52,9 +42,8 @@ std::uint64_t CheckpointCoordinator::checkpoint() {
     engine_.checkpoint_shard(i, blob, marks_);
     dir_.write_part(generation, i, std::move(blob).str());
   }
-  dir_.commit_generation(generation, num_shards);
-  if (generation > options_.keep_generations)
-    dir_.prune_below(generation - options_.keep_generations + 1);
+  if (generation > kKeepGenerations)
+    dir_.prune_below(generation - kKeepGenerations + 1);
   return generation;
 }
 

@@ -10,6 +10,10 @@
 //     with the mark COUNT at the cut (wal_mark = M means "this image
 //     contains every op that precedes the M-th mark frame").
 //
+// Those two are the engine's only files: spilled sessions live in memory
+// and travel inside the checkpoint parts, and there is no index file next
+// to the parts.
+//
 // Recovery (recover_engine) inverts that: load the newest VALID part of
 // each shard independently — a torn or checksum-bad part falls back to an
 // older generation of that shard only — then replay the WAL, counting mark
@@ -38,8 +42,9 @@
 //   after mark, mid-part  -> torn part skipped; shard falls back a
 //                            generation and replays a longer tail. The
 //                            extra mark frame replays as a no-op.
-//   after parts, no       -> manifest is advisory; load_part scans the
-//   manifest commit          directory, so the new generation is found.
+//   between part renames  -> load_part scans the directory per shard, so
+//                            the shards already published use the new
+//                            generation and the rest the previous one.
 //
 // Thread contract: coordinator and recovery are owner-thread constructs
 // (they drain and restore, same as checkpoint()/restore()).
@@ -59,29 +64,25 @@ namespace pss::stream {
 
 class StreamEngine;
 
-struct WalCheckpointOptions {
-  /// Checkpoint generations kept on disk after a successful commit (the
-  /// newest plus keep_generations - 1 fallbacks).
-  std::uint64_t keep_generations = 2;
-};
-
 /// Cuts crash-consistent checkpoints of a serving engine against its WAL.
 /// The caller owns both: the engine must have been fed exactly the ops
 /// appended to `wal` so far (log-then-feed), and `wal_stream` must be the
 /// stream `wal` writes through (flushed here so the mark is durable before
-/// any part is).
+/// any part is). The WAL must start empty: mark counting starts at 0.
 class CheckpointCoordinator {
  public:
+  /// Checkpoint generations left on disk after each checkpoint: the newest
+  /// plus one fallback for a torn newest part.
+  static constexpr std::uint64_t kKeepGenerations = 2;
+
   CheckpointCoordinator(StreamEngine& engine, ingest::OpLogWriter& wal,
-                        std::ostream& wal_stream, io::CheckpointDir& dir,
-                        WalCheckpointOptions options = {},
-                        std::uint64_t initial_marks = 0);
+                        std::ostream& wal_stream, io::CheckpointDir& dir);
 
   /// Appends a checkpoint mark to the WAL, drains the engine, publishes
-  /// one part per shard under a fresh generation, commits the manifest and
-  /// prunes old generations. Returns the generation written. Refuses (by
-  /// propagation) whenever checkpoint_shard would: quiesce timeout,
-  /// quarantined shard.
+  /// one part per shard under a fresh generation and prunes every
+  /// generation older than the newest kKeepGenerations. Returns the
+  /// generation written. Refuses (by propagation) whenever
+  /// checkpoint_shard would: quiesce timeout, quarantined shard.
   std::uint64_t checkpoint();
 
   /// Mark frames this coordinator believes are in the WAL.
@@ -92,8 +93,7 @@ class CheckpointCoordinator {
   ingest::OpLogWriter& wal_;
   std::ostream& wal_stream_;
   io::CheckpointDir& dir_;
-  WalCheckpointOptions options_;
-  std::uint64_t marks_;
+  std::uint64_t marks_ = 0;
 };
 
 /// What recover_engine did, for operators and drills.
@@ -121,10 +121,8 @@ struct RecoveryReport {
 /// shard (full replay for its streams); corruption mid-WAL (not a torn
 /// tail) still throws std::invalid_argument.
 ///
-/// Spill directories are scratch, not durable state: checkpoint images
-/// carry spilled sessions' blobs, so a failover engine must be configured
-/// with a fresh (or cleared) spill directory — restore refuses a session
-/// table that adopted a dead process's leftover spill files.
+/// Spilled sessions need nothing on disk: checkpoint images carry their
+/// blobs, and the recovering engine re-applies its own spill budget.
 RecoveryReport recover_engine(StreamEngine& engine,
                               const io::CheckpointDir& dir,
                               std::istream& wal_stream);

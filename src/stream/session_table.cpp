@@ -8,6 +8,7 @@
 
 #include "io/state_io.hpp"
 #include "util/assert.hpp"
+#include "util/fault.hpp"
 
 namespace pss::stream {
 
@@ -21,23 +22,14 @@ std::unique_ptr<core::PdScheduler> SessionTable::recycled_scheduler() {
 }
 
 void SessionTable::evict_to_budget() {
-  if (!store_) return;
-  while (open_.size() > spill_options_.max_resident && open_.size() > 1) {
+  if (spill_.max_resident == 0) return;
+  while (open_.size() > spill_.max_resident && open_.size() > 1) {
     const StreamId victim = lru_.back();  // coldest resident
     auto it = open_.find(victim);
     PSS_CHECK(it != open_.end(), "lru/table desync");
     std::ostringstream blob;
     io::save_scheduler(blob, *it->second.scheduler);
-    try {
-      store_->put(victim, std::move(blob).str());
-    } catch (const std::exception&) {
-      // Retries are already spent (the store backs off internally). Failing
-      // to spill must not lose the session: keep it resident — over budget
-      // but correct — and try again on the next eviction pressure.
-      // (util::InjectedCrash is not a std::exception and propagates.)
-      ++spill_errors_;
-      return;
-    }
+    spilled_.emplace(victim, std::move(blob).str());
     ++spills_;
     it->second.scheduler->reset();
     free_.push_back(std::move(it->second.scheduler));
@@ -50,26 +42,28 @@ core::PdScheduler& SessionTable::session(StreamId id) {
   auto it = open_.find(id);
   if (it != open_.end()) {
     // Touch: move to the LRU front so the budget evicts someone colder.
-    if (store_ && it->second.lru != lru_.begin())
+    if (spill_.max_resident != 0 && it->second.lru != lru_.begin())
       lru_.splice(lru_.begin(), lru_, it->second.lru);
     return *it->second.scheduler;
   }
   std::unique_ptr<core::PdScheduler> scheduler = recycled_scheduler();
-  std::string blob;
-  bool restored = false;
-  try {
-    restored = store_ && store_->take(id, blob);
-  } catch (const std::exception&) {
-    // Restore failure is NOT containable here: serving this stream from a
-    // fresh scheduler would silently fork its history. Count it and let
-    // the caller's per-op containment shed the op instead.
-    ++spill_errors_;
-    free_.push_back(std::move(scheduler));
-    throw;
-  }
-  if (restored) {
-    std::istringstream in(std::move(blob));
-    io::load_scheduler(in, *scheduler);
+  auto spilled = spilled_.find(id);
+  if (spilled != spilled_.end()) {
+    std::istringstream in(std::move(spilled->second));
+    try {
+      PSS_FAULT_POINT("spill.restore");
+      io::load_scheduler(in, *scheduler);
+    } catch (const std::exception&) {
+      // Serving this stream from a fresh scheduler would silently fork its
+      // history. Keep the blob spilled, count the failure and let the
+      // caller's per-op containment shed the op; the next touch retries.
+      spilled->second = std::move(in).str();
+      ++spill_errors_;
+      scheduler->reset();
+      free_.push_back(std::move(scheduler));
+      throw;
+    }
+    spilled_.erase(spilled);
     ++spill_restores_;
   }
   lru_.push_front(id);
@@ -99,7 +93,7 @@ bool SessionTable::advance(StreamId id, double t) {
 const StreamResult* SessionTable::close(StreamId id) {
   auto it = open_.find(id);
   if (it == open_.end()) {
-    if (!store_ || !store_->contains(id)) return nullptr;
+    if (spilled_.count(id) == 0) return nullptr;
     session(id);  // restore the spilled session so it can be finalized
     it = open_.find(id);
     PSS_CHECK(it != open_.end(), "restored session missing");
@@ -122,13 +116,12 @@ const StreamResult* SessionTable::close(StreamId id) {
 void SessionTable::checkpoint(std::ostream& os) const {
   // One sorted id walk over residents and spilled sessions together. A
   // spilled blob *is* a save_scheduler image, and identical state serializes
-  // to identical bytes, so writing stored blobs verbatim keeps the format —
+  // to identical bytes, so writing spilled blobs verbatim keeps the format —
   // and the checkpoint bytes — independent of what happened to be resident.
   std::vector<StreamId> ids;
   ids.reserve(num_open());
   for (const auto& [id, resident] : open_) ids.push_back(id);
-  if (store_)
-    for (std::uint64_t key : store_->keys()) ids.push_back(key);
+  for (const auto& [id, blob] : spilled_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   io::write_u64(os, ids.size());
   for (StreamId id : ids) {
@@ -137,8 +130,7 @@ void SessionTable::checkpoint(std::ostream& os) const {
     if (it != open_.end()) {
       io::save_scheduler(os, *it->second.scheduler);
     } else {
-      std::string blob;
-      PSS_CHECK(store_ && store_->peek(id, blob), "spilled blob missing");
+      const std::string& blob = spilled_.at(id);
       os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
     }
   }

@@ -8,13 +8,15 @@
 // stream (PdScheduler::reset() is the reuse entry point, so a long-running
 // shard serving millions of short streams does not churn allocations).
 //
-// Under an ingest::SpillOptions residency budget the table additionally
-// keeps at most `max_resident` sessions live: the least-recently-touched
-// session is serialized through the state_io checkpoint path into a spill
-// store and its scheduler recycled; the next op touching the stream restores
-// the blob and serves on. Spilling is decision-identical by construction
-// (the checkpoint contract round-trips semantic state bitwise; only derived
-// caches rebuild cold), so it bounds memory without perturbing the algorithm.
+// Under a SpillOptions residency budget the table additionally keeps at
+// most `max_resident` sessions live: the least-recently-touched session is
+// serialized through the state_io checkpoint path into an in-memory blob
+// map and its scheduler recycled; the next op touching the stream restores
+// the blob and serves on. PD decides from a session's semantic state alone
+// (the partition and its committed loads), which the checkpoint contract
+// round-trips bitwise — only derived caches rebuild cold — so spilling
+// bounds the expensive per-session structures without perturbing a single
+// decision. The blobs never leave the process: checkpoints carry them.
 //
 // Single-threaded by design: each shard worker owns exactly one table.
 // Cross-thread aggregation happens above, in the engine's snapshot path.
@@ -26,16 +28,22 @@
 #include <iterator>
 #include <list>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/pd_scheduler.hpp"
-#include "ingest/spill.hpp"
 #include "model/job.hpp"
 #include "stream/router.hpp"
 
 namespace pss::stream {
+
+/// Session residency budget of one SessionTable.
+struct SpillOptions {
+  /// Max resident sessions; 0 disables spilling entirely.
+  std::size_t max_resident = 0;
+};
 
 /// Final accounting of one closed stream.
 struct StreamResult {
@@ -51,12 +59,11 @@ struct StreamResult {
 class SessionTable {
  public:
   SessionTable(model::Machine machine, core::PdOptions options,
-               bool record_decisions, ingest::SpillOptions spill = {})
+               bool record_decisions, SpillOptions spill = {})
       : machine_(machine),
         options_(options),
         record_decisions_(record_decisions),
-        spill_options_(std::move(spill)),
-        store_(ingest::make_spill_store(spill_options_)) {
+        spill_(spill) {
     // The capture flag reaches into the schedulers themselves: with it off,
     // no per-arrival log accumulates anywhere, so an indefinitely-running
     // stream holds O(live window) memory, not O(arrivals).
@@ -93,21 +100,15 @@ class SessionTable {
 
   /// Residency accounting (all zero-cost; spilled is 0 without a budget).
   [[nodiscard]] std::size_t num_resident() const { return open_.size(); }
-  [[nodiscard]] std::size_t num_spilled() const {
-    return store_ ? store_->size() : 0;
-  }
+  [[nodiscard]] std::size_t num_spilled() const { return spilled_.size(); }
   [[nodiscard]] long long num_spills() const { return spills_; }
   [[nodiscard]] long long num_spill_restores() const {
     return spill_restores_;
   }
-  /// Spill IO failures that exhausted the store's retries. An eviction
-  /// failure keeps the session resident (over budget but serving); a
-  /// restore failure propagates to the caller's per-op containment.
+  /// Spilled blobs that failed to load back. The blob stays spilled and
+  /// the failure propagates to the caller's per-op containment, so the
+  /// next op touching the stream retries the restore.
   [[nodiscard]] long long num_spill_errors() const { return spill_errors_; }
-  /// Failed-then-retried spill IO attempts (the store's backoff loop).
-  [[nodiscard]] long long num_spill_retries() const {
-    return store_ ? store_->io_retries() : 0;
-  }
 
   [[nodiscard]] const std::deque<StreamResult>& completed() const {
     return completed_;
@@ -142,9 +143,9 @@ class SessionTable {
   model::Machine machine_;
   core::PdOptions options_;
   bool record_decisions_;
-  ingest::SpillOptions spill_options_;
-  std::unique_ptr<ingest::SpillStore> store_;  // null => spilling disabled
+  SpillOptions spill_;
   std::unordered_map<StreamId, Resident> open_;
+  std::unordered_map<StreamId, std::string> spilled_;  // save_scheduler blobs
   std::list<StreamId> lru_;  // residents, most recently touched first
   std::vector<std::unique_ptr<core::PdScheduler>> free_;  // reset, reusable
   std::deque<StreamResult> completed_;  // pointer-stable across closes

@@ -7,7 +7,7 @@
 // write" becomes a repeatable test instead of a hope. Three fault kinds:
 //
 //   kError — throws util::InjectedError (derives std::runtime_error). Models
-//     a recoverable IO error; retry loops and per-op containment catch it.
+//     a recoverable error; the per-op containment nets catch it.
 //   kCrash — throws util::InjectedCrash, which deliberately does NOT derive
 //     from std::exception: a kill must not be containable by the
 //     catch (const std::exception&) blocks that contain per-op errors. Only
@@ -43,7 +43,7 @@ struct InjectedCrash {
   const char* site;
 };
 
-/// Simulated recoverable IO error (retry paths catch and retry this).
+/// Simulated recoverable error (per-op containment catches this).
 class InjectedError : public std::runtime_error {
  public:
   explicit InjectedError(const std::string& what) : std::runtime_error(what) {}

@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -22,7 +21,6 @@
 
 #include "core/pd_scheduler.hpp"
 #include "ingest/op_log.hpp"
-#include "ingest/spill.hpp"
 #include "io/state_io.hpp"
 #include "sim/stream_sweep.hpp"
 #include "stream/engine.hpp"
@@ -483,61 +481,6 @@ TEST(StreamEngine, QueueDepthAdmissionIsDistinctFromQueueRejects) {
 
 // ------------------------------------------------------------------ spill
 
-TEST(SpillStore, MemoryStorePutTakePeek) {
-  ingest::MemorySpillStore store;
-  EXPECT_EQ(store.size(), 0u);
-  store.put(5, "five");
-  store.put(3, "three");
-  store.put(5, "five2");  // replace
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_TRUE(store.contains(5));
-  EXPECT_FALSE(store.contains(4));
-  EXPECT_EQ(store.keys(), (std::vector<std::uint64_t>{3, 5}));
-  std::string blob;
-  ASSERT_TRUE(store.peek(5, blob));
-  EXPECT_EQ(blob, "five2");
-  EXPECT_EQ(store.size(), 2u);  // peek does not remove
-  ASSERT_TRUE(store.take(5, blob));
-  EXPECT_EQ(blob, "five2");
-  EXPECT_FALSE(store.contains(5));
-  EXPECT_FALSE(store.take(5, blob));
-}
-
-TEST(SpillStore, FileStorePersistsAcrossInstances) {
-  const std::string dir =
-      testing::TempDir() + "pss_spill_test_" +
-      std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
-  {
-    ingest::FileSpillStore store(dir);
-    store.put(42, std::string("blob\0with\0nuls", 14));
-    store.put(7, "seven");
-    EXPECT_EQ(store.keys(), (std::vector<std::uint64_t>{7, 42}));
-  }
-  {
-    ingest::FileSpillStore store(dir);  // adopts the existing files
-    EXPECT_EQ(store.size(), 2u);
-    std::string blob;
-    ASSERT_TRUE(store.take(42, blob));
-    EXPECT_EQ(blob, std::string("blob\0with\0nuls", 14));
-    EXPECT_EQ(store.size(), 1u);
-  }
-  {
-    ingest::FileSpillStore store(dir);
-    EXPECT_EQ(store.keys(), (std::vector<std::uint64_t>{7}));
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SpillStore, FactoryHonorsOptions) {
-  EXPECT_EQ(ingest::make_spill_store({}), nullptr);  // budget 0: disabled
-  ingest::SpillOptions memory;
-  memory.max_resident = 4;
-  EXPECT_NE(dynamic_cast<ingest::MemorySpillStore*>(
-                ingest::make_spill_store(memory).get()),
-            nullptr);
-}
-
 TEST(SessionTable, SpillKeepsResidencyAtBudgetAndResultsBitwise) {
   const int streams = 12;
   const auto config = small_config(streams, 16);
@@ -545,7 +488,7 @@ TEST(SessionTable, SpillKeepsResidencyAtBudgetAndResultsBitwise) {
   for (int s = 0; s < streams; ++s)
     jobs.push_back(sim::make_stream_jobs(config, s, kMachine.alpha));
 
-  ingest::SpillOptions spill;
+  stream::SpillOptions spill;
   spill.max_resident = 3;
   stream::SessionTable budgeted(kMachine, {}, true, spill);
   stream::SessionTable unbounded(kMachine, {}, true);
@@ -589,7 +532,7 @@ TEST(SessionTable, CheckpointBytesAreSpillInvariant) {
   // resident when the checkpoint was cut.
   const int streams = 10;
   const auto config = small_config(streams, 12);
-  ingest::SpillOptions spill;
+  stream::SpillOptions spill;
   spill.max_resident = 2;
   stream::SessionTable budgeted(kMachine, {}, false, spill);
   stream::SessionTable unbounded(kMachine, {}, false);
@@ -653,42 +596,6 @@ TEST(StreamEngine, SpillOnOffIsDecisionIdenticalWithFlatResidency) {
     unbounded.close_stream(StreamId(s));
   }
   expect_streams_bitwise_equal(unbounded.finish(), budgeted.finish());
-}
-
-TEST(StreamEngine, FileBackedSpillServesFromDisk) {
-  const std::string dir = testing::TempDir() + "pss_engine_spill_" +
-                          std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
-  const int streams = 16;
-  const auto config = small_config(streams, 8);
-
-  stream::EngineOptions options = engine_options(2);
-  options.spill.max_resident = 2;
-  options.spill.directory = dir;
-  stream::StreamEngine on_disk(options);
-  stream::StreamEngine in_memory(engine_options(2));
-  for (int s = 0; s < streams; ++s) {
-    const auto jobs = sim::make_stream_jobs(config, s, kMachine.alpha);
-    for (const model::Job& job : jobs) {
-      on_disk.feed(StreamId(s), job);
-      in_memory.feed(StreamId(s), job);
-    }
-  }
-  on_disk.drain();
-  EXPECT_GT(on_disk.snapshot().session_spills, 0);
-  // Each shard spills under its own subdirectory; blobs really hit disk.
-  std::size_t files = 0;
-  for (const auto& entry :
-       std::filesystem::recursive_directory_iterator(dir))
-    files += entry.is_regular_file() ? 1 : 0;
-  EXPECT_GT(files, 0u);
-
-  for (int s = 0; s < streams; ++s) {
-    on_disk.close_stream(StreamId(s));
-    in_memory.close_stream(StreamId(s));
-  }
-  expect_streams_bitwise_equal(in_memory.finish(), on_disk.finish());
-  std::filesystem::remove_all(dir);
 }
 
 TEST(StreamEngine, CheckpointWithSpilledSessionsRestoresBitwise) {

@@ -1,17 +1,20 @@
 // Crash-recovery drills (src/util/fault + src/io/checkpoint_dir +
 // src/stream/recovery): deterministic fault injection semantics, the
 // torn-checkpoint fallback matrix, kill-at-every-fault-site WAL recovery
-// drills across the scheduler option cube, quarantined-shard serving and
-// WAL failover, restore under live multi-producer ingest, and bounded
-// spill-IO retry. Every recovery assertion is bitwise: the recovered
+// drills across the scheduler option cube, checkpoint-generation
+// retention, quarantined-shard serving and WAL failover, restore under live
+// multi-producer ingest, and failed spill restores. Every recovery
+// assertion is bitwise: the recovered
 // engine must finish with byte-identical decisions, energies and counters
 // to an uninterrupted twin fed the same ops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -21,7 +24,6 @@
 
 #include "core/pd_scheduler.hpp"
 #include "ingest/op_log.hpp"
-#include "ingest/spill.hpp"
 #include "io/checkpoint_dir.hpp"
 #include "model/instance.hpp"
 #include "sim/stream_sweep.hpp"
@@ -306,10 +308,8 @@ TEST(CheckpointDir, RoundTripsNewestGeneration) {
   EXPECT_EQ(dir.next_generation(), 1u);
   dir.write_part(1, 0, "alpha-0");
   dir.write_part(1, 1, "alpha-1");
-  dir.commit_generation(1, 2);
   dir.write_part(2, 0, "beta-0");
   dir.write_part(2, 1, "beta-1");
-  dir.commit_generation(2, 2);
   EXPECT_EQ(dir.next_generation(), 3u);
 
   std::string blob;
@@ -319,17 +319,19 @@ TEST(CheckpointDir, RoundTripsNewestGeneration) {
   EXPECT_EQ(generation, 2u);
   ASSERT_TRUE(dir.load_part(1, blob, generation));
   EXPECT_EQ(blob, "beta-1");
-  const auto manifest = dir.manifest();
-  ASSERT_TRUE(manifest.has_value());
-  EXPECT_EQ(manifest->generation, 2u);
-  EXPECT_EQ(manifest->num_parts, 2u);
+  EXPECT_EQ(generation, 2u);
+  // The part files are the whole on-disk state: no index file beside them.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(path),
+                          std::filesystem::directory_iterator{}),
+            4);
   std::filesystem::remove_all(path);
 }
 
 // Torn matrix: truncate the newest part at every interesting boundary —
-// mid-header, after the header, mid-body, missing CRC — and flip a body
-// byte. Every defect must be skipped (tallied) with fallback to the older
-// generation; only when no candidate is left does load_part say so.
+// mid-header, after the header, mid-body, missing CRC — flip a body byte,
+// and flip the length field to a huge value. Every defect must be skipped
+// (tallied) with fallback to the older generation; only when no candidate
+// is left does load_part say so.
 TEST(CheckpointDir, TornOrCorruptPartsFallBackAGeneration) {
   // Part frame: magic u64, generation u64, part u64, body_len u64 = 32
   // header bytes, then the body, then crc32 as u64.
@@ -341,9 +343,7 @@ TEST(CheckpointDir, TornOrCorruptPartsFallBackAGeneration) {
     const std::string path = fresh_dir("dir_torn");
     io::CheckpointDir dir(path);
     dir.write_part(1, 0, "the-fallback-generation-one-body");
-    dir.commit_generation(1, 1);
     dir.write_part(2, 0, body);
-    dir.commit_generation(2, 1);
 
     std::filesystem::resize_file(path + "/g00000002_p000.pssc", cut);
     std::string blob;
@@ -375,28 +375,33 @@ TEST(CheckpointDir, TornOrCorruptPartsFallBackAGeneration) {
   EXPECT_EQ(generation, 1u);
   EXPECT_EQ(stats.crc_bad, 1);
 
+  // A length field far past the end of the file (2^40 - 1) is a torn
+  // candidate, rejected before anything is allocated for the body.
+  {
+    const std::string len_path = fresh_dir("dir_hugelen");
+    io::CheckpointDir len_dir(len_path);
+    len_dir.write_part(1, 0, "the-fallback-generation-one-body");
+    len_dir.write_part(2, 0, body);
+    {
+      std::fstream f(len_path + "/g00000002_p000.pssc",
+                     std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(24);  // body_len, little-endian u64
+      const std::uint64_t huge = (std::uint64_t(1) << 40) - 1;
+      for (int byte = 0; byte < 8; ++byte)
+        f.put(static_cast<char>((huge >> (8 * byte)) & 0xFF));
+    }
+    io::CheckpointDirStats len_stats;
+    ASSERT_TRUE(len_dir.load_part(0, blob, generation, &len_stats));
+    EXPECT_EQ(blob, "the-fallback-generation-one-body");
+    EXPECT_EQ(generation, 1u);
+    EXPECT_EQ(len_stats.torn, 1);
+    EXPECT_EQ(len_stats.crc_bad, 0);
+    std::filesystem::remove_all(len_path);
+  }
+
   // Tear the fallback too: no valid candidate may be invented.
   std::filesystem::resize_file(path + "/g00000001_p000.pssc", 10);
   EXPECT_FALSE(dir.load_part(0, blob, generation, &stats));
-  std::filesystem::remove_all(path);
-}
-
-TEST(CheckpointDir, ManifestIsAdvisoryNotACorrectnessDependency) {
-  const std::string path = fresh_dir("dir_manifest");
-  io::CheckpointDir dir(path);
-  dir.write_part(1, 0, "found-by-directory-scan");
-  // A crash between part renames and the manifest commit: no manifest at
-  // all. Then a torn manifest. Neither may hide the published part.
-  EXPECT_FALSE(dir.manifest().has_value());
-  dir.commit_generation(1, 1);
-  ASSERT_TRUE(dir.manifest().has_value());
-  std::filesystem::resize_file(path + "/MANIFEST.pssm", 9);
-  EXPECT_FALSE(dir.manifest().has_value());
-
-  std::string blob;
-  std::uint64_t generation = 0;
-  ASSERT_TRUE(dir.load_part(0, blob, generation));
-  EXPECT_EQ(blob, "found-by-directory-scan");
   std::filesystem::remove_all(path);
 }
 
@@ -405,7 +410,6 @@ TEST(CheckpointDir, CrashDuringWriteLeavesTornTempThatIsIgnored) {
   const std::string path = fresh_dir("dir_crash");
   io::CheckpointDir dir(path);
   dir.write_part(1, 0, "previous-good");
-  dir.commit_generation(1, 1);
 
   FaultInjector::instance().arm("ckpt.part.body", 0,
                                 FaultInjector::Kind::kCrash);
@@ -485,12 +489,7 @@ TEST(WalRecovery, BitwiseAcrossTheOptionCube) {
   for (const bool spill_on : {false, true}) {
     SCOPED_TRACE("spill=" + std::to_string(spill_on));
     stream::EngineOptions options = engine_options(2);
-    const std::string spill_dir = fresh_dir("cube_spill");
-    if (spill_on) {
-      options.spill.max_resident = 2;
-      options.spill.directory = spill_dir;
-      options.spill.retry_backoff_us = 0;
-    }
+    if (spill_on) options.spill.max_resident = 2;
     const std::vector<stream::StreamResult> want =
         run_uninterrupted(options, ops);
 
@@ -498,13 +497,11 @@ TEST(WalRecovery, BitwiseAcrossTheOptionCube) {
     const ServeArtifacts artifacts =
         serve_with_wal(options, ops, ckpt, 9, ops.size() * 3 / 5);
     ASSERT_TRUE(artifacts.crashed);
-    // Spill files are scratch, not durable state (checkpoints carry the
-    // spilled sessions' blobs): a failover engine starts a clean spill dir.
-    stream::EngineOptions failover = options;
-    if (spill_on) failover.spill.directory = fresh_dir("cube_spill2");
+    // Checkpoints carry the spilled sessions' blobs, so the failover
+    // engine needs nothing else to rebuild them.
     stream::RecoveryReport report;
     const std::vector<stream::StreamResult> got =
-        recover_and_resume(failover, ops, artifacts, ckpt, &report);
+        recover_and_resume(options, ops, artifacts, ckpt, &report);
     EXPECT_FALSE(report.wal_tail_truncated);
     EXPECT_GT(report.generation, 0u);
     EXPECT_GT(report.frames_skipped, 0);  // the checkpoint earned its keep
@@ -512,8 +509,6 @@ TEST(WalRecovery, BitwiseAcrossTheOptionCube) {
     expect_streams_bitwise_equal(got, want);
     reference::expect_streams_match_oracle(want, jobs, kMachine);
     std::filesystem::remove_all(ckpt);
-    std::filesystem::remove_all(spill_dir);
-    if (spill_on) std::filesystem::remove_all(failover.spill.directory);
   }
 }
 
@@ -572,8 +567,8 @@ TEST(WalRecovery, ReplayOpLogEqualsRecoveryFromAnEmptyDir) {
 // The tentpole drill: rehearse once to count how often each owner-thread
 // fault site fires, then kill the serving loop at chosen hits of EVERY
 // site — mid WAL append (torn tail), mid checkpoint body (torn temp),
-// before the part rename, before the manifest — and prove recovery plus
-// resumed feeding is bitwise identical to the uninterrupted twin.
+// before the part rename — and prove recovery plus resumed feeding is
+// bitwise identical to the uninterrupted twin.
 TEST(WalRecovery, KillAtEveryFaultSiteRecoversBitwise) {
   const std::vector<ingest::IngestOp> ops = drill_ops(5, 6);
   const stream::EngineOptions options = engine_options(2);
@@ -593,8 +588,7 @@ TEST(WalRecovery, KillAtEveryFaultSiteRecoversBitwise) {
     std::filesystem::remove_all(ckpt);
   }
   const std::vector<std::string> sites = {"wal.append", "ckpt.part.body",
-                                          "ckpt.part.rename",
-                                          "ckpt.manifest"};
+                                          "ckpt.part.rename"};
   std::vector<long long> counts;
   for (const std::string& site : sites) {
     counts.push_back(fi.hits(site));
@@ -632,6 +626,49 @@ TEST(WalRecovery, KillAtEveryFaultSiteRecoversBitwise) {
       std::filesystem::remove_all(ckpt);
     }
   }
+}
+
+// ------------------------------------------------- generation retention
+
+// The coordinator keeps the newest two generations: after five checkpoints
+// only generations 4 and 5 remain, one part per shard each. That fallback
+// is what a torn newest part needs — recovery takes generation 4 for that
+// shard, replays its longer WAL tail, and still finishes bitwise equal.
+TEST(WalRecovery, RetentionKeepsTheTwoNewestGenerations) {
+  const std::vector<ingest::IngestOp> ops = drill_ops(4, 6);
+  const stream::EngineOptions options = engine_options(2);
+  const std::vector<stream::StreamResult> want =
+      run_uninterrupted(options, ops);
+
+  const std::string ckpt = fresh_dir("retention");
+  const int every = int(ops.size()) / 6;
+  const ServeArtifacts artifacts =
+      serve_with_wal(options, ops, ckpt, every, std::size_t(5 * every + 1));
+  ASSERT_TRUE(artifacts.crashed);
+
+  std::map<std::uint64_t, std::size_t> parts_per_generation;
+  for (const auto& entry : std::filesystem::directory_iterator(ckpt)) {
+    unsigned long long generation = 0, part = 0;
+    const std::string name = entry.path().filename().string();
+    ASSERT_EQ(std::sscanf(name.c_str(), "g%llu_p%llu.pssc", &generation,
+                          &part),
+              2)
+        << name;
+    ++parts_per_generation[generation];
+  }
+  const std::map<std::uint64_t, std::size_t> kept = {{4, 2}, {5, 2}};
+  EXPECT_EQ(parts_per_generation, kept);
+
+  std::filesystem::resize_file(ckpt + "/g00000005_p000.pssc", 20);
+  stream::RecoveryReport report;
+  const std::vector<stream::StreamResult> got =
+      recover_and_resume(options, ops, artifacts, ckpt, &report);
+  EXPECT_EQ(report.torn_parts, 1);
+  EXPECT_EQ(report.shard_generations,
+            (std::vector<std::uint64_t>{4, 5}));
+  EXPECT_EQ(report.shards_cold, 0u);
+  expect_streams_bitwise_equal(got, want);
+  std::filesystem::remove_all(ckpt);
 }
 
 // --------------------------------------------------- quarantined shards
@@ -797,42 +834,14 @@ TEST(WalRecovery, RecoveredEngineAcceptsLiveProducerTraffic) {
   std::filesystem::remove_all(ckpt);
 }
 
-// -------------------------------------------------- spill IO degradation
-
-TEST(SpillRetry, TransientPutErrorsAreRetriedWithBackoff) {
-  FaultScope scope;
-  const std::string dir = fresh_dir("spill_retry");
-  ingest::FileSpillStore store(dir, 3, 0);
-  FaultInjector::instance().arm("spill.put", 0, FaultInjector::Kind::kError,
-                                2);
-  EXPECT_NO_THROW(store.put(5, "survives-two-transient-errors"));
-  EXPECT_EQ(store.io_retries(), 2);
-  std::string blob;
-  ASSERT_TRUE(store.peek(5, blob));
-  EXPECT_EQ(blob, "survives-two-transient-errors");
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SpillRetry, ExhaustedRetriesPropagateTheError) {
-  FaultScope scope;
-  const std::string dir = fresh_dir("spill_exhaust");
-  ingest::FileSpillStore store(dir, 1, 0);
-  FaultInjector::instance().arm("spill.put", 0, FaultInjector::Kind::kError,
-                                100);
-  EXPECT_THROW(store.put(5, "never-lands"), InjectedError);
-  EXPECT_FALSE(store.contains(5));
-  std::filesystem::remove_all(dir);
-}
+// ------------------------------------------------- failed spill restores
 
 TEST(SpillRetry, FailedRestoreIsCountedAndRetriableNotFatal) {
   FaultScope scope;
-  const std::string dir = fresh_dir("spill_restore_fail");
-  ingest::SpillOptions spill;
+  stream::SpillOptions spill;
   spill.max_resident = 1;
-  spill.directory = dir;
-  spill.max_retries = 1;
-  spill.retry_backoff_us = 0;
   stream::SessionTable table(kMachine, core::PdOptions{}, false, spill);
+  stream::SessionTable unbounded(kMachine, core::PdOptions{}, false);
 
   model::Job job;
   job.id = 0;
@@ -841,73 +850,84 @@ TEST(SpillRetry, FailedRestoreIsCountedAndRetriableNotFatal) {
   job.work = 1.0;
   job.value = 50.0;
   table.feed(StreamId(1), job);
+  unbounded.feed(StreamId(1), job);
   job.id = 1;
-  table.feed(StreamId(2), job);  // evicts stream 1 to the file store
+  table.feed(StreamId(2), job);  // evicts stream 1 to a spilled blob
+  unbounded.feed(StreamId(2), job);
 
-  // A restore that fails past its retries must surface (feeding a fresh
-  // scheduler would silently fork the stream's history)...
-  FaultInjector::instance().arm("spill.take", 0, FaultInjector::Kind::kError,
-                                100);
+  // A restore that fails must surface (feeding a fresh scheduler would
+  // silently fork the stream's history)...
+  FaultInjector::instance().arm("spill.restore", 0,
+                                FaultInjector::Kind::kError);
   job.id = 2;
   EXPECT_THROW(table.feed(StreamId(1), job), InjectedError);
   EXPECT_EQ(table.num_spill_errors(), 1);
+  EXPECT_EQ(table.num_spilled(), 1u);
+  EXPECT_EQ(table.num_open(), 2u);
   FaultInjector::instance().disarm_all();
 
-  // ...but the session is still on disk: the next touch restores it.
+  // ...but the blob is still spilled: the next touch restores it, with the
+  // stream's history intact.
   EXPECT_NO_THROW(table.feed(StreamId(1), job));
+  unbounded.feed(StreamId(1), job);
   EXPECT_EQ(table.num_spill_errors(), 1);
-  std::filesystem::remove_all(dir);
+  EXPECT_EQ(table.num_spill_restores(), 1);
+  const stream::StreamResult* got = table.close(StreamId(1));
+  const stream::StreamResult* want = unbounded.close(StreamId(1));
+  ASSERT_NE(got, nullptr);
+  ASSERT_NE(want, nullptr);
+  EXPECT_EQ(got->counters.arrivals, 2);
+  EXPECT_EQ(got->planned_energy, want->planned_energy);
 }
 
+// A failed restore inside a shard worker sheds that one op (op_errors) and
+// leaves the shard serving: once the client re-offers the shed arrival,
+// every stream finishes bitwise identical to a twin that never spilled.
 TEST(SpillRetry, EngineServesThroughSpillFailures) {
   FaultScope scope;
-  const std::vector<ingest::IngestOp> ops = drill_ops(6, 4);
+  const int streams = 3;
+  const int jobs = 5;
+  sim::StreamWorkloadConfig config;
+  config.num_streams = streams;
+  config.jobs_per_stream = jobs;
+  config.base_seed = 4242;
+  std::vector<std::vector<model::Job>> stream_jobs;
+  for (int s = 0; s < streams; ++s)
+    stream_jobs.push_back(sim::make_stream_jobs(config, s, kMachine.alpha));
 
-  // Twin without spill: the reference decisions.
-  const std::vector<stream::StreamResult> want =
-      run_uninterrupted(engine_options(1), ops);
-
-  const std::string dir = fresh_dir("spill_degraded");
   stream::EngineOptions options = engine_options(1);
-  options.spill.max_resident = 2;
-  options.spill.directory = dir;
-  options.spill.max_retries = 1;
-  options.spill.retry_backoff_us = 0;
-  FaultInjector::instance().arm("spill.put", 0, FaultInjector::Kind::kError,
-                                1000000);
-  stream::StreamEngine engine(options);
-  for (const ingest::IngestOp& op : ops) apply_op(engine, op);
-  engine.drain();
-  const stream::EngineSnapshot snap = engine.snapshot();
-  EXPECT_GT(snap.spill_errors, 0);
-  EXPECT_EQ(snap.degraded_shards, 0u);  // degraded IO, not a dead shard
-
-  // Every eviction failed, so every session stayed resident — and served:
-  // the decisions are exactly the no-spill twin's.
-  expect_streams_bitwise_equal(engine.finish(), want);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SpillRetry, EngineCountsRetriesInSnapshots) {
-  FaultScope scope;
-  const std::vector<ingest::IngestOp> ops = drill_ops(6, 4);
-  const std::string dir = fresh_dir("spill_transient");
-  stream::EngineOptions options = engine_options(1);
-  options.spill.max_resident = 2;
-  options.spill.directory = dir;
-  options.spill.max_retries = 3;
-  options.spill.retry_backoff_us = 0;
-  FaultInjector::instance().arm("spill.put", 0, FaultInjector::Kind::kError,
-                                2);
-  stream::StreamEngine engine(options);
-  for (const ingest::IngestOp& op : ops) apply_op(engine, op);
-  engine.drain();
-  const stream::EngineSnapshot snap = engine.snapshot();
-  EXPECT_GE(snap.spill_retries, 2);
-  EXPECT_EQ(snap.spill_errors, 0);
-  EXPECT_GT(snap.session_spills, 0);
-  engine.finish();
-  std::filesystem::remove_all(dir);
+  options.spill.max_resident = 1;
+  stream::StreamEngine budgeted(options);
+  stream::StreamEngine unbounded(engine_options(1));
+  for (int i = 0; i < jobs; ++i) {
+    // Round 0 only opens sessions; round 1 starts with stream 0's restore.
+    if (i == 1)
+      FaultInjector::instance().arm("spill.restore", 0,
+                                    FaultInjector::Kind::kError);
+    for (int s = 0; s < streams; ++s) {
+      const model::Job& job = stream_jobs[std::size_t(s)][std::size_t(i)];
+      budgeted.feed(StreamId(s), job);
+      unbounded.feed(StreamId(s), job);
+    }
+    if (i == 1) {
+      budgeted.drain();
+      const stream::EngineSnapshot snap = budgeted.snapshot();
+      EXPECT_EQ(snap.spill_errors, 1);
+      EXPECT_EQ(snap.op_errors, 1);  // the shed arrival
+      EXPECT_EQ(snap.degraded_shards, 0u);  // a failed op, not a dead shard
+      EXPECT_EQ(snap.open_streams, std::size_t(streams));
+      budgeted.feed(StreamId(0), stream_jobs[0][1]);
+    }
+  }
+  budgeted.drain();
+  const stream::EngineSnapshot snap = budgeted.snapshot();
+  EXPECT_EQ(snap.spill_errors, 1);
+  EXPECT_GT(snap.session_restores, 0);
+  for (int s = 0; s < streams; ++s) {
+    budgeted.close_stream(StreamId(s));
+    unbounded.close_stream(StreamId(s));
+  }
+  expect_streams_bitwise_equal(budgeted.finish(), unbounded.finish());
 }
 
 }  // namespace

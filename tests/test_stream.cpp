@@ -361,7 +361,6 @@ TEST(StreamEngine, FullQueueRejectPolicyShedsAndCountsOps) {
 TEST(StreamEngine, FullQueueBlockPolicyLosesNothing) {
   stream::EngineOptions options = engine_options(1);
   options.queue_capacity = 4;  // absurdly small: force producer stalls
-  options.drain_batch = 2;
   stream::StreamEngine engine(options);
 
   const auto jobs = sim::make_stream_jobs(small_config(1, 300), 0,
