@@ -82,7 +82,7 @@ struct RunResult {
 
 // The two columns the JSON tracks: the stateless contiguous oracle and the
 // production engine ("indexed": interval store + curve cache, with the
-// always-on screen and lazy water levels).
+// always-on screen).
 constexpr const char* kOracle = "oracle";
 constexpr const char* kEngine = "indexed";
 

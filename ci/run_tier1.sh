@@ -121,16 +121,6 @@ PSS_WINDOW_MAX_WIDTH=4096 PSS_WINDOW_ORACLE_MAX=4096 PSS_WINDOW_PROBES=48 \
 check_guards bench_results/BENCH_window.json determinism_match screen_engaged sublinear_window
 echo "window-smoke: OK (${BUILD_DIR}/bench_results/BENCH_window.json)"
 
-# Accept-scale smoke: small accept-heavy run of the lazy water-level
-# driver. The driver exits nonzero if the engine ever disagrees bitwise
-# with the reference oracle, if any accepter missed the closed-form fast
-# path, or if the per-accept cost fails the sub-linearity check.
-PSS_ACCEPT_MAX_TICKS=16384 PSS_ACCEPT_ORACLE_MAX=16384 \
-  PSS_RESULT_DIR=bench_results \
-  ./bench_accept_scale --benchmark_filter=NONE_ > /dev/null
-check_guards bench_results/BENCH_accept.json determinism_match lazy_fast_path_complete sublinear_accept
-echo "accept-smoke: OK (${BUILD_DIR}/bench_results/BENCH_accept.json)"
-
 # Soak smoke: short steady-state serving run with per-tick horizon
 # compaction. The driver exits nonzero if compacted memory is not flat
 # after warm-up, if the uncompacted twin fails to show the linear growth
@@ -197,13 +187,12 @@ echo "benchmark-checks: OK (every perfbench workload passed its output checks)"
 # Build a second tree with ASan+UBSan and run the suites that exercise
 # prefix compaction, checkpoint/restore and the stream engine end to end,
 # plus the oracle differential suite, which drives the engine (segment-tree
-# screen, lazy annotations, curve cache) hardest, the lazy-level and
-# screen suites: annotation materialization and tree maintenance run on
-# every arrival, and the ingest suite: op-log frame decoding and the
-# spill/restore byte paths.
+# screen, curve cache, exact water fill, random mutation tortures) hardest,
+# the screen suite: tree maintenance runs on every arrival, and the ingest
+# suite: op-log frame decoding and the spill/restore byte paths.
 cd "${ROOT}"
 SAN_DIR="${BUILD_DIR}-asan"
-SAN_SUITES="test_compaction test_stream test_interval_store test_recovery test_differential test_lazy_levels test_window test_ingest"
+SAN_SUITES="test_compaction test_stream test_interval_store test_recovery test_differential test_window test_ingest"
 rm -rf "${SAN_DIR}"
 cmake -B "${SAN_DIR}" -S . -DPSS_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug > /dev/null
 cmake --build "${SAN_DIR}" -j --target ${SAN_SUITES}

@@ -59,8 +59,8 @@ Placement build_placement(double work, double level, std::size_t num_curves,
     placement.amounts[i] = amount;
     if (placement.amounts[i] > placement.amounts[largest]) largest = i;
   }
-  // Canonical pairwise total (util/pairwise_sum.hpp): the order the lazy
-  // water-level fast path replays in closed form.
+  // Canonical pairwise total (util/pairwise_sum.hpp), the order the
+  // reference oracle sums in.
   const double placed = util::pairwise_sum(placement.amounts);
   // Absorb the inversion's floating-point residue into the largest share so
   // the job's committed total is exactly its workload.
@@ -129,80 +129,6 @@ std::optional<Placement> water_fill_over_curves(
                          [&](std::size_t i) -> const util::PiecewiseLinear& {
                            return *curves[i];
                          });
-}
-
-UniformFill water_fill_uniform(double length, std::size_t count,
-                               int num_processors, double work,
-                               double max_speed) {
-  PSS_REQUIRE(count > 0, "empty placement window");
-  PSS_REQUIRE(length > 0.0 && num_processors >= 1, "bad interval parameters");
-  PSS_REQUIRE(work > 0.0, "work must be positive");
-  PSS_REQUIRE(max_speed > 0.0, "max speed must be positive");
-
-  // The empty-load insertion curve of chen::insertion_curve has exactly two
-  // knots, (0, 0) and (2, y2) with y2 = min(m*length*2, 2*length), and final
-  // slope `length`. Every line below replays, operation for operation, what
-  // the reference path computes from W copies of that curve: the summed
-  // total has knots (0, 0) and (2, Y2) with slope S, where Y2 and S are the
-  // canonical pairwise sums of the per-interval values.
-  const double c = (double(num_processors) - 0.0) * length;
-  const double y2 = std::max(0.0, std::min(c * 2.0 - 0.0, 2.0 * length));
-  const double big_y2 = util::pairwise_sum_uniform(y2, count);
-  const double slope = util::pairwise_sum_uniform(length, count);
-
-  UniformFill fill;
-  if (std::isfinite(max_speed)) {
-    // total.eval(max_speed): final-segment extension past the last knot, or
-    // interpolation on the single (0,0)-(2,Y2) segment.
-    const double zcap =
-        max_speed >= 2.0
-            ? big_y2 + slope * (max_speed - 2.0)
-            : ((max_speed - 0.0) / (2.0 - 0.0)) * (big_y2 - 0.0);
-    if (zcap < work) return fill;  // rejection branch, bitwise as exact
-  }
-  // total.first_at_least(work): inside the segment when Y2 reaches the
-  // work, otherwise on the final slope.
-  double level;
-  if (big_y2 >= work) {
-    const double t = (work - 0.0) / (big_y2 - 0.0);
-    level = 0.0 + t * (2.0 - 0.0);
-  } else {
-    level = 2.0 + (work - big_y2) / slope;
-  }
-  PSS_CHECK(!std::isfinite(max_speed) || level <= max_speed * (1.0 + 1e-9),
-            "water level exceeded the verified cap");
-
-  // build_placement: per-interval curve.eval(level), dust cutoff, pairwise
-  // total, residue into the first (largest-tie) interval.
-  double amount =
-      level >= 2.0 ? y2 + length * (level - 2.0)
-                   : ((level - 0.0) / (2.0 - 0.0)) * (y2 - 0.0);
-  if (amount < 1e-12 * work) amount = 0.0;
-  const double placed = util::pairwise_sum_uniform(amount, count);
-  const double residue = work - placed;
-  PSS_CHECK(std::abs(residue) <= 1e-7 * std::max(1.0, work),
-            "water-filling residue too large");
-  fill.accepted = true;
-  fill.level = level;
-  fill.amount = amount;
-  fill.first_amount = amount + residue;
-  PSS_CHECK(fill.first_amount >= 0.0, "negative corrected amount");
-  return fill;
-}
-
-double window_capacity_uniform(double length, std::size_t count,
-                               int num_processors, double speed) {
-  PSS_REQUIRE(count > 0 && length > 0.0 && num_processors >= 1,
-              "bad uniform window");
-  // chen::insertion_amount with no committed loads, replayed bitwise.
-  double amount = 0.0;
-  if (speed > 0.0) {
-    const double pool_procs = double(num_processors) - 0.0;
-    const double pool_branch = pool_procs * length * speed - 0.0;
-    const double dedicated_branch = speed * length;
-    amount = std::max(0.0, std::min(pool_branch, dedicated_branch));
-  }
-  return util::pairwise_sum_uniform(amount, count);
 }
 
 double window_capacity(const model::WorkAssignment& assignment,

@@ -54,31 +54,6 @@ struct Placement {
     std::span<const util::PiecewiseLinear* const> curves, double work,
     double max_speed);
 
-/// Closed-form water-fill over a *virgin uniform* window: `count` intervals
-/// of bitwise-equal `length` carrying no committed load. Every empty-load
-/// insertion curve is the same two-knot function, and all decision-path
-/// sums are canonical pairwise sums (util/pairwise_sum.hpp), so the whole
-/// reference computation — summed curve, cap check, level inversion, dust
-/// cutoff, residue absorption — collapses to O(log count) arithmetic that
-/// is bitwise identical to water_fill / water_fill_over_curves on that
-/// window. This is the certified fast path behind PdOptions::lazy: an
-/// accept is recorded as one range annotation {level, amount, first_amount}
-/// instead of `count` per-interval writes.
-struct UniformFill {
-  bool accepted = false;   // false: the cap check rejected (PD line 12(b))
-  double level = 0.0;      // uniform own-speed s*
-  double amount = 0.0;     // per-interval share (post-dust)
-  double first_amount = 0.0;  // amount + residue (first = largest tie)
-};
-[[nodiscard]] UniformFill water_fill_uniform(double length, std::size_t count,
-                                             int num_processors, double work,
-                                             double max_speed);
-
-/// window_capacity over the same virgin uniform window, in O(log count);
-/// bitwise identical to the exact scans above.
-[[nodiscard]] double window_capacity_uniform(double length, std::size_t count,
-                                             int num_processors, double speed);
-
 /// Total work the window can absorb at own-speed exactly `speed`
 /// (the Z(s) above); used by tests and the rejection rule. For the
 /// sub-linear screened evaluation of this quantity on wide windows see

@@ -15,8 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -33,7 +31,7 @@ class CurveCache {
     long long rebuilds = 0;  // curves (re)built from interval loads
   };
 
-  /// Drops every cached curve, the segment tree and all lazy state.
+  /// Drops every cached curve and the segment tree.
   void reset();
 
   /// Per-interval insertion curves for `window`, excluding `ignore_job`.
@@ -91,107 +89,9 @@ class CurveCache {
 
   /// Cache-side half of a prefix compaction the owner just ran on the
   /// store: releases the freed handles' cached curves, prunes their tree
-  /// nodes, garbage-collects off-grid records behind the frontier (no
-  /// future window can start before it), and reconciles the store's
-  /// recycled-birth log. The owner must have materialized every lazy
-  /// annotation behind the frontier before compacting (retired loads feed
-  /// the retired-energy accumulator).
-  void on_compacted(model::IntervalStore& store, double frontier,
+  /// nodes, and reconciles the store's recycled-birth log.
+  void on_compacted(model::IntervalStore& store,
                     const std::vector<model::IntervalStore::Handle>& freed);
-
-  // -- lazy water-level annotations ------------------------------------------
-  //
-  // An accepted virgin-uniform-window job is recorded as ONE range
-  // annotation {[t0, t1), job, amount, first_amount} instead of a load
-  // write per window interval (convex::water_fill_uniform replays the
-  // reference arithmetic in closed form). The annotation is expanded into
-  // ordinary IntervalStore loads — "materialized" — the first time anything
-  // needs the eager state of that range:
-  //   * before_boundary: a new boundary is about to split an interval
-  //     inside the range (materializing first keeps the proportional split
-  //     arithmetic bitwise identical to an eager commit's);
-  //   * lazy_materialize_range: an arrival's exact fallback (or the
-  //     fractional screen) is about to read the range's loads;
-  //   * lazy_flush: a snapshot/energy/schedule consumer needs everything.
-  // Pending ranges are pairwise disjoint by construction: a lazy commit
-  // requires its window to be virgin (disjoint from the committed extent,
-  // which contains every pending range).
-  //
-  // The segment tree is deliberately NOT told about pending annotations:
-  // pending load only *shrinks* true capacity, so the stale (virgin)
-  // bounds over-estimate and the screen's reject certificate stays sound.
-  // The fractional full-service certificate (lo >= work) is the opposite
-  // direction, so fractional PD materializes the window *before* its
-  // screen. curves_for enforces the contract with a hard check.
-
-  struct LazyStats {
-    long long commits = 0;           // accepts recorded as annotations
-    long long materializations = 0;  // annotations expanded into loads
-  };
-
-  /// Hook before IntervalStore::ensure_boundary(t): if t is new and falls
-  /// strictly inside a pending range, materialize that annotation so the
-  /// upcoming split divides real loads exactly as after an eager commit.
-  void before_boundary(model::IntervalStore& store, double t);
-  /// Hook after ensure_boundary(t): classifies the new boundary against
-  /// the detected uniform grid (see lazy_virgin_uniform).
-  void after_boundary(const model::IntervalStore& store, double t);
-
-  /// True iff [t0, t1) is a certified virgin uniform window: `count`
-  /// intervals whose lengths are all bitwise equal to the detected
-  /// power-of-two grid unit (written to *unit) and that carry no committed
-  /// or pending load. Exactly the precondition of water_fill_uniform.
-  [[nodiscard]] bool lazy_virgin_uniform(const model::IntervalStore& store,
-                                         double t0, double t1,
-                                         std::size_t count, double* unit);
-
-  /// Records an accepted placement on the virgin window [t0, t1) as a
-  /// pending annotation and extends the committed extent.
-  void lazy_commit(double t0, double t1, model::JobId job, double amount,
-                   double first_amount);
-
-  /// Extends the committed-load extent (eager commits must report here so
-  /// the virgin test stays sound).
-  void note_commit_extent(double t0, double t1);
-
-  /// Any pending annotation intersecting [t0, t1)?
-  [[nodiscard]] bool lazy_pending_overlap(double t0, double t1) const;
-
-  /// Materializes every pending annotation intersecting [t0, t1).
-  void lazy_materialize_range(model::IntervalStore& store, double t0,
-                              double t1);
-  /// Materializes everything (snapshot/energy/schedule consumers).
-  void lazy_flush(model::IntervalStore& store);
-
-  [[nodiscard]] std::size_t lazy_pending_count() const {
-    return pending_.size();
-  }
-  [[nodiscard]] const LazyStats& lazy_stats() const { return lazy_stats_; }
-
-  // -- checkpoint (src/io/state_io) ----------------------------------------
-
-  /// Plain-data image of the lazy annotation machinery — everything that
-  /// affects future decisions (pending annotations, committed extent, grid
-  /// detection). Cached curves and tree summaries are deliberately NOT
-  /// part of it: they are derived state, and a cold rebuild serves
-  /// decision-identical certificates (only hit/prune counters can differ).
-  struct LazyState {
-    struct PendingRange {
-      double t0 = 0.0, t1 = 0.0;
-      model::JobId job = -1;
-      double amount = 0.0, first_amount = 0.0;
-    };
-    std::vector<PendingRange> pending;
-    bool extent_set = false;
-    double extent_lo = 0.0, extent_hi = 0.0;
-    double grid_unit = 0.0;
-    bool grid_dead = false;
-    std::vector<double> grid_early;
-    std::vector<double> offgrid;
-    LazyStats stats;
-  };
-  [[nodiscard]] LazyState lazy_state() const;
-  void restore_lazy_state(const LazyState& s);
 
  private:
   struct Entry {
@@ -212,39 +112,7 @@ class CurveCache {
   std::size_t recycled_cursor_ = 0;  // store recycled-birth log entries seen
   Stats stats_;
 
-  // -- lazy water-level state ----------------------------------------------
-  struct Pending {
-    double t1 = 0.0;            // range end (key of pending_ is t0)
-    model::JobId job = -1;
-    double amount = 0.0;        // per-interval share
-    double first_amount = 0.0;  // first interval: share + residue
-  };
-  void observe_boundary(const model::IntervalStore& store, double t);
-  void classify_boundary(double t);
-  void materialize(model::IntervalStore& store,
-                   std::map<double, Pending>::iterator it);
   void sync_recycled(const model::IntervalStore& store);
-
-  bool boundary_was_new_ = false;  // before_/after_boundary handshake
-  std::map<double, Pending> pending_;  // disjoint ranges, keyed by t0
-  // Committed-load time extent (eager + lazy); the virgin test is
-  // disjointness from this range, which conservatively covers every
-  // pending annotation.
-  bool extent_set_ = false;
-  double extent_lo_ = 0.0;
-  double extent_hi_ = 0.0;
-  // Uniform-grid detection. grid_unit_ is the smallest power-of-two
-  // neighbor gap observed (power-of-two so that k*unit and consecutive
-  // differences are exact in floating point); boundaries that are not an
-  // exact integer multiple of it land in offgrid_. A window with no
-  // off-grid boundary and exactly span/unit intervals is certified
-  // uniform. Refining the unit keeps old off-grid records — conservative:
-  // the fast path misses, never misfires.
-  double grid_unit_ = 0.0;          // 0 = not yet detected
-  bool grid_dead_ = false;          // detection abandoned; fast path off
-  std::vector<double> grid_early_;  // boundaries seen before detection
-  std::set<double> offgrid_;
-  LazyStats lazy_stats_;
 };
 
 }  // namespace pss::core

@@ -7,6 +7,7 @@
 #include "convex/dual.hpp"
 #include "convex/solver.hpp"
 #include "convex/water_fill.hpp"
+#include "core/curve_cache.hpp"
 #include "core/online_state.hpp"
 #include "core/rejection.hpp"
 #include "model/power.hpp"
@@ -33,14 +34,9 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
   result.lambda.assign(instance.num_jobs(), 0.0);
 
   for (const model::Job& job : instance.jobs_by_release()) {
-    state.ensure_boundary(job.release, &cache);
-    state.ensure_boundary(job.deadline, &cache);
+    state.ensure_boundary(job.release);
+    state.ensure_boundary(job.deadline);
     const auto window = state.store.range(job.release, job.deadline);
-    // The full-service certificate below (bounds.lo >= work) would be
-    // unsound against bounds that miss pending load, so expand any
-    // annotation intersecting this window before screening. Reject-side
-    // staleness would be sound, but fractional needs both directions.
-    cache.lazy_materialize_range(state.store, job.release, job.deadline);
     const double s_cap = rejection_speed(job.value, job.work, alpha, price);
 
     // Certified shortcuts off the segment-tree bounds; anything
@@ -70,36 +66,6 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
       ++result.window_exact;
     }
 
-    // Certified closed-form replay on a virgin uniform window: capacity,
-    // level and placement collapse to O(log n) arithmetic and the commit
-    // becomes one range annotation (see PdScheduler's lazy fast path).
-    double unit = 0.0;
-    if (s_cap > 0.0 &&
-        cache.lazy_virgin_uniform(state.store, job.release, job.deadline,
-                                  window.size(), &unit)) {
-      const double capacity =
-          full_certified || !std::isfinite(s_cap)
-              ? util::kInf
-              : convex::window_capacity_uniform(
-                    unit, window.size(), machine.num_processors, s_cap);
-      const double target = std::min(job.work, capacity);
-      if (target <= 1e-12 * job.work) {
-        result.lambda[std::size_t(job.id)] = job.value;
-        continue;  // fully unserved
-      }
-      const convex::UniformFill fill = convex::water_fill_uniform(
-          unit, window.size(), machine.num_processors, target, util::kInf);
-      PSS_CHECK(fill.accepted, "fractional placement failed");
-      cache.lazy_commit(job.release, job.deadline, job.id, fill.amount,
-                        fill.first_amount);
-      result.fraction[std::size_t(job.id)] = target / job.work;
-      result.lambda[std::size_t(job.id)] =
-          target < job.work
-              ? job.value
-              : price * job.work * power.derivative(fill.level);
-      continue;
-    }
-
     // Work the window absorbs below the marginal price v_j; serve up to w.
     const double capacity =
         full_certified || !std::isfinite(s_cap)
@@ -122,7 +88,6 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
       cache.note_load_changed(h);
       h = state.store.next_handle(h);
     }
-    cache.note_commit_extent(job.release, job.deadline);
     result.fraction[std::size_t(job.id)] = target / job.work;
     // Full service below the cap fixes lambda at the realized marginal;
     // partial service means the marginal hit the price v_j.
@@ -132,9 +97,6 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
                                                    placement->speed);
   }
 
-  cache.lazy_flush(state.store);
-  result.lazy_commits = cache.lazy_stats().commits;
-  result.lazy_materializations = cache.lazy_stats().materializations;
   result.partition = state.store.snapshot_partition();
   result.assignment = state.store.snapshot_assignment();
   result.schedule = chen::realize_assignment(

@@ -45,8 +45,6 @@ struct FractionalPdResult {
   double dual_lower_bound = 0.0; // g(lambda) — bound on the relaxed optimum
   long long window_prunes = 0;   // decisions certified by the segment tree
   long long window_exact = 0;    // screened arrivals that scanned exactly
-  long long lazy_commits = 0;           // jobs committed as annotations
-  long long lazy_materializations = 0;  // annotations expanded into loads
 
   [[nodiscard]] double total_cost() const { return energy + lost_value; }
 };
@@ -55,20 +53,14 @@ struct FractionalPdResult {
 /// pricing parameter; nullopt selects delta = 1 (true marginal-cost
 /// pricing — see the header comment for why this differs from PD).
 ///
-/// The two certified fast paths of PdScheduler always run, and every
-/// result stays bitwise identical to the test-only reference oracle:
-///   * the screen — a window whose convex::CurveSegmentTree upper capacity
-///     bound is below the dust threshold is fully unserved without
-///     scanning it, and one whose lower bound covers the whole workload is
-///     fully served with target = work without computing the exact
-///     capacity; partial service (the inconclusive band) takes the exact
-///     scan;
-///   * lazy water levels — a job whose window is a certified virgin
-///     uniform range is served through the closed-form replay
-///     (convex::water_fill_uniform / window_capacity_uniform) and committed
-///     as one range annotation. The full-service certificate (lo >= work)
-///     is unsound against stale bounds, so pending annotations
-///     intersecting the window are materialized before the screen.
+/// PdScheduler's certified screen runs first, and every result stays
+/// bitwise identical to the test-only reference oracle: a window whose
+/// convex::CurveSegmentTree upper capacity bound is below the dust
+/// threshold is fully unserved without scanning it, and one whose lower
+/// bound covers the whole workload is fully served with target = work
+/// without computing the exact capacity; partial service (the inconclusive
+/// band) takes the exact scan. Every served job is placed by the one exact
+/// water fill over the CurveCache insertion curves.
 [[nodiscard]] FractionalPdResult run_fractional_pd(
     const model::Instance& instance, std::optional<double> delta = {});
 

@@ -14,7 +14,6 @@
 
 #include <cstddef>
 
-#include "core/curve_cache.hpp"
 #include "model/interval_store.hpp"
 
 namespace pss::core {
@@ -26,13 +25,9 @@ struct OnlineState {
   long long horizon_extensions = 0;
 
   /// Makes t a boundary, splitting committed loads proportionally when t
-  /// falls inside an existing interval. A passed CurveCache gets its lazy
-  /// water-level hooks: before — materialize a pending annotation the new
-  /// boundary would split; after — classify the new boundary against the
-  /// uniform grid. Handle-keyed cache entries survive refinements by
-  /// construction.
-  void ensure_boundary(double t, CurveCache* cache = nullptr) {
-    if (cache) cache->before_boundary(store, t);
+  /// falls inside an existing interval. Handle-keyed cache entries survive
+  /// refinements by construction.
+  void ensure_boundary(double t) {
     switch (store.ensure_boundary(t)) {
       case model::IntervalStore::Refinement::kSplit:
         ++interval_splits;
@@ -45,7 +40,6 @@ struct OnlineState {
       case model::IntervalStore::Refinement::kBootstrap:
         break;
     }
-    if (cache) cache->after_boundary(store, t);
   }
 
   [[nodiscard]] std::size_t num_intervals() const {

@@ -40,10 +40,6 @@ void PdScheduler::compact_before(double frontier) {
   if (store.num_intervals() == 0) return;
   // Fast exit for the common per-tick case: nothing retires.
   if (store.end_of(store.front_handle()) > frontier) return;
-  // Lazy annotations reaching behind the frontier must land as real loads
-  // first, so the retired-energy walk below sees them and the split
-  // arithmetic never needs a retired interval again.
-  cache_.lazy_materialize_range(store, -util::kInf, frontier);
   // Retired prefix energy, accumulated left to right with the same
   // skip-empty order assignment_energy uses: planned_energy() continuing
   // from this accumulator reproduces the uncompacted sum bitwise.
@@ -58,7 +54,7 @@ void PdScheduler::compact_before(double frontier) {
   freed_scratch_.clear();
   const std::size_t retired = store.compact_before(frontier, freed_scratch_);
   if (retired == 0) return;
-  cache_.on_compacted(store, frontier, freed_scratch_);
+  cache_.on_compacted(store, freed_scratch_);
   ++counters_.compactions;
   counters_.compacted_intervals += static_cast<long long>(retired);
   // An accepted id whose whole window is behind the frontier holds no load
@@ -74,8 +70,6 @@ void PdScheduler::compact_before(double frontier) {
 
 void PdScheduler::reset() {
   state_ = OnlineState{};
-  // reset() drops all lazy state (pending annotations, extent, grid) — a
-  // recycled session must not replay stale water levels.
   cache_.reset();
   accepted_ids_.clear();
   decisions_.clear();
@@ -96,9 +90,9 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
               "jobs must arrive in nondecreasing release order");
   last_release_ = std::max(last_release_, job.release);
 
-  state_.ensure_boundary(job.release, &cache_);
+  state_.ensure_boundary(job.release);
   first_arrival_ = false;
-  state_.ensure_boundary(job.deadline, &cache_);
+  state_.ensure_boundary(job.deadline);
 
   const double alpha = machine_.alpha;
   const model::PowerFunction power(alpha);
@@ -127,31 +121,10 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
     ++counters_.window_exact;
   }
 
-  // Unless the screen certified the rejection, exactly one route decides
-  // and commits: the certified closed-form replay or the exact water fill.
+  // Unless the screen certified the rejection, the exact water fill
+  // decides and commits.
   std::optional<double> accepted_speed;
-  double unit = 0.0;
-  if (screened_reject) {
-    // Decided above without touching the window.
-  } else if (s_reject > 0.0 &&
-             cache_.lazy_virgin_uniform(state_.store, job.release,
-                                        job.deadline, window.size(), &unit)) {
-    // Certified closed-form replay: the window is provably `size` empty
-    // intervals of bitwise-equal length, so the exact fill's entire
-    // arithmetic collapses to water_fill_uniform. An accept becomes one
-    // O(log n) range annotation instead of a per-interval commit loop.
-    const convex::UniformFill fill = convex::water_fill_uniform(
-        unit, window.size(), machine_.num_processors, job.work, s_reject);
-    ++counters_.lazy_fast_path;
-    if (fill.accepted) {
-      accepted_speed = fill.level;
-      cache_.lazy_commit(job.release, job.deadline, job.id, fill.amount,
-                         fill.first_amount);
-    }
-  } else {
-    // The exact fill is about to read the window's loads: expand any
-    // annotation intersecting it so it sees the eager state.
-    cache_.lazy_materialize_range(state_.store, job.release, job.deadline);
+  if (!screened_reject) {
     const auto curves = cache_.curves_for(
         state_.store, machine_.num_processors, window, job.id);
     const auto placement =
@@ -164,7 +137,6 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
         cache_.note_load_changed(h);
         h = state_.store.next_handle(h);
       }
-      cache_.note_commit_extent(job.release, job.deadline);
     }
   }
 
@@ -190,8 +162,6 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   counters_.horizon_extensions = state_.horizon_extensions;
   counters_.curve_cache_hits = cache_.stats().hits;
   counters_.curve_cache_rebuilds = cache_.stats().rebuilds;
-  counters_.lazy_commits = cache_.lazy_stats().commits;
-  counters_.lazy_materializations = cache_.lazy_stats().materializations;
   counters_.max_intervals =
       std::max(counters_.max_intervals, state_.num_intervals());
   counters_.max_window = std::max(counters_.max_window, window.size());
@@ -199,24 +169,15 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   return decision;
 }
 
-void PdScheduler::flush_lazy() const {
-  auto* self = const_cast<PdScheduler*>(this);
-  self->cache_.lazy_flush(self->state_.store);
-  self->counters_.lazy_materializations =
-      self->cache_.lazy_stats().materializations;
-}
-
 double PdScheduler::planned_energy() const {
-  // Cold path: materialize once and reuse the contiguous evaluator, whose
+  // Cold path: snapshot once and reuse the contiguous evaluator, whose
   // left-to-right summation the retired-energy accumulator continues.
-  flush_lazy();
   return convex::assignment_energy(
       state_.store.snapshot_assignment(), state_.store.snapshot_partition(),
       machine_.num_processors, machine_.alpha, retired_energy_);
 }
 
 model::Schedule PdScheduler::final_schedule() const {
-  flush_lazy();
   model::Schedule schedule = chen::realize_assignment(
       state_.store.snapshot_assignment(), state_.store.snapshot_partition(),
       machine_.num_processors);

@@ -65,9 +65,7 @@ struct PdCounters {
   long long curve_cache_rebuilds = 0;  // curves (re)built from loads
   long long window_prunes = 0;   // rejections certified by the segment tree
   long long window_exact = 0;    // arrivals the screen left to the exact path
-  long long lazy_fast_path = 0;  // arrivals decided by the closed-form replay
-  long long lazy_commits = 0;           // accepts recorded as annotations
-  long long lazy_materializations = 0;  // annotations expanded into loads
+  long long lazy_fast_path = 0;  // always 0; perfbench still reads it
   long long compactions = 0;           // advance_to passes that retired work
   long long compacted_intervals = 0;   // intervals retired behind the frontier
   std::size_t max_intervals = 0;     // partition size high-water mark
@@ -116,10 +114,6 @@ inline constexpr PdCounterField kPdCounterFields[] = {
      nullptr},
     {"lazy_fast_path", PdCounterField::Kind::kAdd,
      &PdCounters::lazy_fast_path, nullptr},
-    {"lazy_commits", PdCounterField::Kind::kAdd, &PdCounters::lazy_commits,
-     nullptr},
-    {"lazy_materializations", PdCounterField::Kind::kAdd,
-     &PdCounters::lazy_materializations, nullptr},
     {"compactions", PdCounterField::Kind::kAdd, &PdCounters::compactions,
      nullptr},
     {"compacted_intervals", PdCounterField::Kind::kAdd,
@@ -156,22 +150,15 @@ struct ArrivalDecision {
 /// assignment (Section 3).
 ///
 /// One engine: the online state lives in the stable-handle
-/// model::IntervalStore (O(log n) Section-3 refinements), and every arrival
-/// is placed through the CurveCache insertion curves and the lazy-sum water
-/// fill. Two certified fast paths always run; each only skips work whose
-/// outcome it can prove, so the decision stream is bitwise identical to the
-/// stateless contiguous reference in tests/support/reference_pd, the
-/// test-only oracle every differential suite compares against:
-///   * the screen — an arrival is first checked against the
-///     convex::CurveSegmentTree capacity bounds; a rejection the bounds
-///     certify costs O(log n · log knots) instead of O(window), and an
-///     inconclusive screen falls through to the exact water fill;
-///   * lazy water levels — an arrival whose window is a certified virgin
-///     uniform range (all lengths bitwise equal to the detected
-///     power-of-two grid unit, no committed or pending load) is decided by
-///     the closed-form replay convex::water_fill_uniform and, if accepted,
-///     recorded as one CurveCache range annotation that materializes into
-///     ordinary loads on first touch (bench_accept_scale).
+/// model::IntervalStore (O(log n) Section-3 refinements). An arrival is
+/// first checked against the convex::CurveSegmentTree capacity bounds (the
+/// screen): a rejection the bounds certify costs O(log n · log knots)
+/// instead of O(window). Every other arrival is decided by the one exact
+/// water fill over the CurveCache insertion curves (LazyLinearSum view),
+/// and an accept writes its per-interval loads. The screen only skips work
+/// whose outcome it can prove, so the decision stream is bitwise identical
+/// to the stateless contiguous reference in tests/support/reference_pd, the
+/// test-only oracle every differential suite compares against.
 class PdScheduler {
  public:
   PdScheduler(model::Machine machine, PdOptions options = {});
@@ -205,7 +192,6 @@ class PdScheduler {
     return partition_snapshot_;
   }
   [[nodiscard]] const model::WorkAssignment& assignment() const {
-    flush_lazy();  // pending annotations must land before a load snapshot
     assignment_snapshot_ = state_.store.snapshot_assignment();
     return assignment_snapshot_;
   }
@@ -251,11 +237,6 @@ class PdScheduler {
   /// records whose whole window is behind the frontier (their loads cannot
   /// appear in any live window, so the screen is valid for them again).
   void compact_before(double frontier);
-  /// Materializes every pending lazy annotation. Logically const: it only
-  /// moves already-decided state between representations (annotation ->
-  /// per-interval loads) and cannot change any observable value, which is
-  /// why the const accessors may call it.
-  void flush_lazy() const;
 
   model::Machine machine_;
   double delta_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -158,52 +159,6 @@ void save_loads(std::ostream& os, const std::vector<model::Load>& loads) {
   }
 }
 
-void save_lazy(std::ostream& os, const core::CurveCache::LazyState& lz) {
-  write_u64(os, lz.pending.size());
-  for (const auto& p : lz.pending) {
-    write_f64(os, p.t0);
-    write_f64(os, p.t1);
-    write_i64(os, p.job);
-    write_f64(os, p.amount);
-    write_f64(os, p.first_amount);
-  }
-  write_bool(os, lz.extent_set);
-  write_f64(os, lz.extent_lo);
-  write_f64(os, lz.extent_hi);
-  write_f64(os, lz.grid_unit);
-  write_bool(os, lz.grid_dead);
-  write_u64(os, lz.grid_early.size());
-  for (double t : lz.grid_early) write_f64(os, t);
-  write_u64(os, lz.offgrid.size());
-  for (double t : lz.offgrid) write_f64(os, t);
-  write_i64(os, lz.stats.commits);
-  write_i64(os, lz.stats.materializations);
-}
-
-core::CurveCache::LazyState load_lazy(std::istream& is) {
-  core::CurveCache::LazyState lz;
-  lz.pending.resize(read_count(is));
-  for (auto& p : lz.pending) {
-    p.t0 = read_f64(is);
-    p.t1 = read_f64(is);
-    p.job = static_cast<model::JobId>(read_i64(is));
-    p.amount = read_f64(is);
-    p.first_amount = read_f64(is);
-  }
-  lz.extent_set = read_bool(is);
-  lz.extent_lo = read_f64(is);
-  lz.extent_hi = read_f64(is);
-  lz.grid_unit = read_f64(is);
-  lz.grid_dead = read_bool(is);
-  lz.grid_early.resize(read_count(is));
-  for (double& t : lz.grid_early) t = read_f64(is);
-  lz.offgrid.resize(read_count(is));
-  for (double& t : lz.offgrid) t = read_f64(is);
-  lz.stats.commits = read_i64(is);
-  lz.stats.materializations = read_i64(is);
-  return lz;
-}
-
 }  // namespace
 
 void save_scheduler(std::ostream& os, const core::PdScheduler& s) {
@@ -250,7 +205,6 @@ void save_scheduler(std::ostream& os, const core::PdScheduler& s) {
 
   save_decisions(os, s.decisions_);
 
-  save_lazy(os, s.cache_.lazy_state());
   save_counters(os, s.counters_);
 }
 
@@ -265,7 +219,11 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
   s.reset();
   s.first_arrival_ = read_bool(is);
   s.last_release_ = read_f64(is);
+  PSS_REQUIRE(std::isfinite(s.last_release_),
+              "corrupt checkpoint: non-finite clock");
   s.retired_energy_ = read_f64(is);
+  PSS_REQUIRE(std::isfinite(s.retired_energy_) && s.retired_energy_ >= 0.0,
+              "corrupt checkpoint: retired energy");
   const std::int64_t splits = read_i64(is);
   const std::int64_t extensions = read_i64(is);
 
@@ -279,7 +237,7 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
     const double b = read_f64(is);
     PSS_REQUIRE(i == 0 || b > prev, "corrupt checkpoint: boundaries");
     prev = b;
-    s.state_.ensure_boundary(b, &s.cache_);
+    s.state_.ensure_boundary(b);
   }
   const std::uint64_t ni = read_count(is);
   PSS_REQUIRE(ni == s.state_.num_intervals(),
@@ -303,10 +261,6 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
   }
 
   load_decisions(is, s.decisions_);
-
-  // Restored last: overwrites whatever grid classification the boundary
-  // replay above accumulated with the live run's exact lazy image.
-  s.cache_.restore_lazy_state(load_lazy(is));
   load_counters(is, s.counters_);
 }
 

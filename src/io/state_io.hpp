@@ -2,9 +2,9 @@
 //
 // A steady-state serving process (src/stream) runs for days; restarting it
 // must not replay days of traffic. This module serializes the *semantic*
-// state of a PD session — partition boundaries, committed loads, lazy
-// annotations, accepted-id records, counters, the monotonicity clock and
-// the retired-energy accumulator — and restores it into a
+// state of a PD session — partition boundaries, committed loads,
+// accepted-id records, counters, the monotonicity clock and the
+// retired-energy accumulator — and restores it into a
 // freshly-constructed scheduler so that every subsequent decision and
 // energy is bitwise identical to the uninterrupted run.
 //
@@ -87,8 +87,9 @@ void save_scheduler(std::ostream& os, const core::PdScheduler& s);
 
 /// Restores a blob written by save_scheduler into `s`, which must have
 /// been constructed with the same machine, delta and record_decisions
-/// flag (checked; throws std::invalid_argument on mismatch or a truncated
-/// stream). Any prior state of `s` is discarded.
+/// flag (checked; throws std::invalid_argument on mismatch, a truncated
+/// stream, a non-finite clock, a non-finite or negative retired energy,
+/// or a non-finite load). Any prior state of `s` is discarded.
 void load_scheduler(std::istream& is, core::PdScheduler& s);
 
 }  // namespace pss::io

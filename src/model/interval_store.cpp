@@ -152,7 +152,8 @@ double IntervalStore::load_of(Handle h, JobId job) const {
 
 void IntervalStore::set_load(Handle h, JobId job, double amount) {
   PSS_REQUIRE(std::size_t(h) < payload_.size(), "interval handle out of range");
-  PSS_REQUIRE(amount >= 0.0, "load must be nonnegative");
+  PSS_REQUIRE(std::isfinite(amount) && amount >= 0.0,
+              "load must be finite and nonnegative");
   auto& loads = payload_[h].loads;
   auto it = std::find_if(loads.begin(), loads.end(),
                          [job](const Load& l) { return l.job == job; });

@@ -133,6 +133,7 @@ class IntervalStore {
   }
   [[nodiscard]] double load_of(Handle h, JobId job) const;
   /// Replaces `job`'s load in the interval (0 removes); bumps the epoch.
+  /// The amount must be finite and nonnegative.
   void set_load(Handle h, JobId job, double amount);
   [[nodiscard]] std::uint64_t epoch(Handle h) const {
     return payload_[h].epoch;

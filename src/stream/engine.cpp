@@ -258,12 +258,13 @@ void StreamEngine::stop() {
 // ------------------------------------------------------ checkpoint/restore
 
 namespace {
-// "PSSSHRD4" as a little-endian u64 — version byte last. One image format
+// "PSSSHRD5" as a little-endian u64 — version byte last. One image format
 // serves both entry points: checkpoint_shard writes one shard image, and
 // checkpoint() writes every shard's image in shard order. (Images of the
-// earlier engine format, one shared header ahead of the shard states, are
-// refused as bad magic.)
-constexpr std::uint64_t kShardMagic = 0x3444524853535350ull;
+// earlier formats — one shared header ahead of the shard states, or
+// "PSSSHRD4" session blobs that still carry a lazy water-level section —
+// are refused as bad magic.)
+constexpr std::uint64_t kShardMagic = 0x3544524853535350ull;
 }  // namespace
 
 bool StreamEngine::quiesce_producers() {

@@ -53,7 +53,7 @@
 // Per-shard checkpoints (checkpoint_shard / restore_shard) plus the WAL
 // (stream/recovery) rebuild the lost shard without touching healthy ones.
 //
-// Checkpoint format: one image format, the shard image ("PSSSHRD4": magic,
+// Checkpoint format: one image format, the shard image ("PSSSHRD5": magic,
 // wal_mark, shard index, config block, tallies, session table). An engine
 // image (checkpoint / restore) is every shard's image in shard order — the
 // same bytes a CheckpointCoordinator generation writes as its parts.
@@ -377,7 +377,7 @@ class StreamEngine {
   /// timeout counts a refusal and returns false.
   bool quiesce_producers();
   void drain_shard(Shard& shard);
-  /// The one checkpoint image codec (PSSSHRD4), shared by the shard and
+  /// The one checkpoint image codec (PSSSHRD5), shared by the shard and
   /// engine entry points. The reader checks the config block (shard count,
   /// machine, delta, record_decisions) against this engine and returns the
   /// image's wal_mark.

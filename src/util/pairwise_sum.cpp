@@ -1,7 +1,5 @@
 #include "util/pairwise_sum.hpp"
 
-#include <array>
-
 namespace pss::util {
 
 double pairwise_sum(std::span<const double> xs) {
@@ -11,43 +9,6 @@ double pairwise_sum(std::span<const double> xs) {
   if (n == 2) return xs[0] + xs[1];
   const std::size_t h = n / 2;
   return pairwise_sum(xs.first(h)) + pairwise_sum(xs.subspan(h));
-}
-
-double pairwise_sum_uniform(double v, std::size_t n) {
-  if (n == 0) return 0.0;
-  // The sizes reached from n are, per level, floor(n/2^k) and possibly
-  // floor(n/2^k)+1 — never more than two distinct values. Walk the levels
-  // bottom-up over that pair, mirroring pairwise_sum's split h = floor/2:
-  // a size s splits into (floor(s/2), ceil(s/2)).
-  //
-  // Collect the level sizes top-down first.
-  std::array<std::size_t, 128> lo_of{};  // floor(n/2^k)
-  std::size_t levels = 0;
-  for (std::size_t s = n; s > 1 && levels < lo_of.size(); s /= 2)
-    lo_of[levels++] = s;
-  // At the deepest recorded level sizes are 2 or 3; below them only 1s.
-  double sum_lo = v;       // pairwise sum of `cur` copies
-  double sum_hi = v + v;   // pairwise sum of `cur + 1` copies
-  std::size_t cur = 1;
-  while (levels > 0) {
-    --levels;
-    const std::size_t s = lo_of[levels];
-    // s splits into h = s/2 and s - h; both lie in {cur, cur + 1}.
-    const std::size_t h = s / 2;
-    const double left = (h == cur) ? sum_lo : sum_hi;
-    const double right = (s - h == cur) ? sum_lo : sum_hi;
-    const double sum_s = left + right;
-    // s + 1 splits into (s+1)/2 and s+1-(s+1)/2; needed one level up when
-    // that level's sibling size is s + 1.
-    const std::size_t h1 = (s + 1) / 2;
-    const double left1 = (h1 == cur) ? sum_lo : sum_hi;
-    const double right1 = (s + 1 - h1 == cur) ? sum_lo : sum_hi;
-    const double sum_s1 = left1 + right1;
-    sum_lo = sum_s;
-    sum_hi = sum_s1;
-    cur = s;
-  }
-  return sum_lo;
 }
 
 }  // namespace pss::util

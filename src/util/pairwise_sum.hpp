@@ -1,31 +1,18 @@
 // Canonical pairwise (tree-shaped) summation.
 //
-// The library's bitwise decision-identity contract requires every engine
-// variant to accumulate window quantities — summed curve knots, placed
-// amounts, window capacities — in exactly the same floating-point order.
-// Through PR 5 that canonical order was the left-to-right window scan,
-// which has no sub-linear replay: fl((...((x_1+x_2)+x_3)...)+x_W) depends
-// on every prefix, so a closed form over W equal summands does not exist
-// and a lazy accept would have to touch all W intervals just to reproduce
-// the reference rounding.
-//
-// This header changes the canonical order to the balanced pairwise
+// The library's bitwise decision-identity contract requires the engine and
+// the test-only reference oracle to accumulate window quantities — summed
+// curve knots, placed amounts, window capacities — in exactly the same
+// floating-point order. That one shared order is the balanced pairwise
 // recursion
 //
 //   ps(x_1..x_n) = fl( ps(x_1..x_h) + ps(x_{h+1}..x_n) ),  h = floor(n/2),
 //
-// which every summing site on the decision path now uses (PiecewiseLinear::
-// sum, LazyLinearSum, water-fill placement, window capacities). Pairwise
-// summation has two properties the lazy water-level backend rests on:
-//
-//   * replayability: over n *equal* summands the value depends only on
-//     (v, n), and the recursion visits at most two distinct sub-sizes per
-//     level ({floor(n/2^k), ceil(n/2^k)}), so pairwise_sum_uniform
-//     reproduces the exact buffer sum in O(log n) — the closed form behind
-//     the O(log n) certified accept fast path;
-//   * accuracy: the worst-case relative error drops from O(n·eps) to
-//     O(log n · eps), so the switch tightens, not loosens, every numeric
-//     tolerance downstream.
+// which every summing site on the decision path uses (PiecewiseLinear::
+// sum, LazyLinearSum, water-fill placement, window capacities). Its
+// worst-case relative error is O(log n · eps) rather than the O(n · eps) of
+// a left-to-right scan, which keeps every numeric tolerance downstream
+// tight on wide windows.
 #pragma once
 
 #include <cstddef>
@@ -35,10 +22,5 @@ namespace pss::util {
 
 /// Sum of xs in the canonical pairwise order. Empty span sums to 0.0.
 [[nodiscard]] double pairwise_sum(std::span<const double> xs);
-
-/// Bitwise-identical to pairwise_sum over a buffer of n copies of v,
-/// computed in O(log n) by memoizing the at-most-two distinct sub-sizes
-/// per recursion level. n == 0 sums to 0.0.
-[[nodiscard]] double pairwise_sum_uniform(double v, std::size_t n);
 
 }  // namespace pss::util

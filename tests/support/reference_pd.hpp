@@ -3,7 +3,7 @@
 // The production engines (core::PdScheduler and core::run_fractional_pd)
 // keep their state in model::IntervalStore, place arrivals through the
 // core::CurveCache insertion curves and the lazy-sum water fill, and take
-// two certified shortcuts (the windowed screen and lazy water levels). This
+// one certified shortcut (the segment-tree screen). This
 // oracle is the root reference they are held against bit for bit: the
 // contiguous TimePartition + WorkAssignment refinement of Section 3 and the
 // stateless convex::water_fill / convex::window_capacity scans, which

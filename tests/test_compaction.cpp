@@ -2,10 +2,10 @@
 // contract):
 //   * compacted vs uncompacted twins commit bitwise-identical decisions
 //     and energies, both bitwise equal to the test-only reference oracle;
-//   * a checkpoint written mid-soak (with retired energy, accepted-id
-//     records and pending lazy annotations in flight) restores into a
-//     fresh scheduler that replays the remaining traffic bitwise
-//     identically — and re-serializes to the identical bytes;
+//   * a checkpoint written mid-soak (with retired energy and accepted-id
+//     records in flight) restores into a fresh scheduler that replays the remaining traffic bitwise
+//     identically — and re-serializes to the identical bytes, while a blob
+//     with a non-finite clock, retired energy or load is refused;
 //   * steady-state serving with per-tick compaction holds O(live window)
 //     structure while the uncompacted twin grows linearly;
 //   * a million idle advances are structure-free: no boundary, no slab
@@ -17,8 +17,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pd_scheduler.hpp"
@@ -41,8 +43,7 @@ using model::Machine;
 const Machine kMachine{2, 2.5};
 
 // Steady-state serving traffic: every tick carries a frontier job on the
-// integer grid (the lazy fast path's bread and butter), plus occasional
-// wide windows, off-grid releases (splits) and cheap jobs (rejections).
+// integer grid, plus occasional wide windows, off-grid releases (splits) and cheap jobs (rejections).
 // Releases are nondecreasing, windows span a few ticks — after a short
 // warm-up, arrivals and expiries balance.
 std::vector<Job> steady_workload(int ticks, std::uint64_t seed) {
@@ -51,7 +52,7 @@ std::vector<Job> steady_workload(int ticks, std::uint64_t seed) {
   model::JobId id = 0;
   for (int t = 0; t < ticks; ++t) {
     const double tick = double(t);
-    // Frontier accept: virgin unit window at the leading edge.
+    // Frontier accept: empty unit window at the leading edge.
     jobs.push_back({id++, tick, tick + 1.0, rng.uniform(0.3, 1.2), util::kInf});
     if (rng.bernoulli(0.4)) {  // wide window, overlaps committed work
       const double span = double(rng.uniform_int(2, 6));
@@ -128,8 +129,7 @@ TEST(Compaction, DifferentialCubeCompactedVsUncompacted) {
   EXPECT_GT(compacted.counters().compacted_intervals, 0);
   EXPECT_LT(compacted.live_intervals(), plain.live_intervals());
   EXPECT_GT(compacted.retired_energy(), 0.0);
-  // Both fast paths engaged on this traffic.
-  EXPECT_GT(compacted.counters().lazy_commits, 0);
+  // The screen engaged on this traffic.
   EXPECT_GT(compacted.counters().window_prunes, 0);
 }
 
@@ -312,22 +312,23 @@ TEST(Checkpoint, RoundTripAcrossCubeMidSoak) {
   }
 }
 
-TEST(Checkpoint, CapturesPendingLazyAnnotations) {
-  // Pure frontier traffic keeps annotations pending (nothing forces a
-  // materialization), so the checkpoint must carry them explicitly.
+TEST(Checkpoint, RoundTripsUnderPerTickCompaction) {
+  // Pure frontier traffic under per-tick compaction: every tick retires
+  // the one before it, so the blob carries the retired-energy accumulator
+  // and only the live tail of the partition.
   PdScheduler live(kMachine);
   for (int t = 0; t < 24; ++t) {
     (void)live.on_arrival({t, double(t), double(t) + 1.0, 0.8, util::kInf});
     live.advance_to(double(t) + 1.0, /*compact=*/true);
   }
-  ASSERT_GT(live.counters().lazy_commits, 0);
+  ASSERT_GT(live.counters().compacted_intervals, 0);
+  ASSERT_GT(live.retired_energy(), 0.0);
   const std::string blob = serialize(live);
   PdScheduler restored(kMachine);
   std::istringstream is(blob, std::ios::binary);
   io::load_scheduler(is, restored);
   ASSERT_EQ(serialize(restored), blob);
-  // The pending annotations must land as real loads in both worlds when
-  // the snapshot consumers flush — bitwise equal energies prove it.
+  ASSERT_EQ(live.retired_energy(), restored.retired_energy());
   ASSERT_EQ(live.planned_energy(), restored.planned_energy());
   for (int t = 24; t < 40; ++t) {
     const Job job{t, double(t), double(t) + 1.0, 0.8, util::kInf};
@@ -368,7 +369,8 @@ TEST(Checkpoint, RejectsMismatchedConfigurationAndGarbage) {
 // backend-selector bytes and a tuner block), "PSSCKPT5" and "PSSCKPT6"
 // (one engine header ahead of the shard states; an engine image is now
 // the shard images back to back), and shard images "PSSSHRD3" (config and
-// session blobs with the windowed/lazy bytes).
+// session blobs with the windowed/lazy bytes) and "PSSSHRD4" (session blobs
+// with a lazy water-level section).
 TEST(Checkpoint, EngineRefusesPreviousFormatAsBadMagic) {
   stream::EngineOptions options;
   options.num_shards = 2;
@@ -390,7 +392,7 @@ TEST(Checkpoint, EngineRefusesPreviousFormatAsBadMagic) {
   std::ostringstream os(std::ios::binary);
   source.checkpoint(os);
   const std::string image = os.str();
-  ASSERT_EQ(image.substr(0, 8), "PSSSHRD4");
+  ASSERT_EQ(image.substr(0, 8), "PSSSHRD5");
   for (const char* previous : {"PSSCKPT4", "PSSCKPT5", "PSSCKPT6"}) {
     std::string old = image;
     old.replace(0, 8, previous);
@@ -400,12 +402,15 @@ TEST(Checkpoint, EngineRefusesPreviousFormatAsBadMagic) {
 
   std::ostringstream shard_os(std::ios::binary);
   source.checkpoint_shard(0, shard_os);
-  std::string shard_image = shard_os.str();
-  ASSERT_EQ(shard_image.substr(0, 8), "PSSSHRD4");
-  shard_image.replace(0, 8, "PSSSHRD3");
+  ASSERT_EQ(shard_os.str().substr(0, 8), "PSSSHRD5");
   stream::StreamEngine target(options);
-  expect_bad_magic(shard_image,
-                   [&](std::istream& is) { (void)target.restore_shard(0, is); });
+  for (const char* previous : {"PSSSHRD3", "PSSSHRD4"}) {
+    std::string shard_image = shard_os.str();
+    shard_image.replace(0, 8, previous);
+    expect_bad_magic(shard_image, [&](std::istream& is) {
+      (void)target.restore_shard(0, is);
+    });
+  }
   // The current shard image restores into the same fresh shard.
   std::istringstream current(shard_os.str(), std::ios::binary);
   EXPECT_NO_THROW((void)target.restore_shard(0, current));
@@ -470,7 +475,7 @@ TEST(Checkpoint, EngineRefusesShardsWithDifferentWalMarks) {
   EXPECT_EQ(equal.restore(is_equal), 2u);
 }
 
-// Byte offsets into a PSSSHRD4 image: magic, wal_mark and shard index
+// Byte offsets into a PSSSHRD5 image: magic, wal_mark and shard index
 // (3 x u64), then the config block — num_shards (u64), m (i64),
 // alpha (f64), has_delta (bool), delta (f64), record_decisions (bool) —
 // then the tallies, enqueued first.
@@ -543,6 +548,54 @@ TEST(Checkpoint, RefusesNonCanonicalBoolBytes) {
   stream::StreamEngine target(options);
   std::istringstream is(image, std::ios::binary);
   EXPECT_NO_THROW((void)target.restore(is));
+}
+
+// A session blob's clock and retired energy must be finite (the energy also
+// nonnegative), and so must every committed load: each of them flows
+// straight into planned_energy() and later decisions, so a corrupt value
+// is refused on load instead of surfacing as an inf/NaN energy.
+TEST(Checkpoint, RefusesNonFiniteEnergyClockAndLoads) {
+  PdScheduler source(kMachine, {});
+  ASSERT_TRUE(source.on_arrival({0, 0.0, 3.0, 1.5, 5.0}).accepted);
+  source.advance_to(0.5);
+  const std::string blob = serialize(source);
+  // Session blob prefix: m (i64), alpha (f64), delta (f64),
+  // record_decisions (bool), first_arrival (bool), then the clock and the
+  // retired-energy accumulator (f64 each).
+  constexpr std::size_t kLastReleaseAt = 8 * 3 + 1 + 1;
+  constexpr std::size_t kRetiredEnergyAt = kLastReleaseAt + 8;
+  // The one committed load, found by its bit pattern (unique in the blob).
+  const double load = source.assignment().loads(0).front().amount;
+  std::ostringstream load_os(std::ios::binary);
+  io::write_f64(load_os, load);
+  const std::size_t load_at = blob.find(load_os.str());
+  ASSERT_NE(load_at, std::string::npos);
+  ASSERT_EQ(load_at, blob.rfind(load_os.str()));
+
+  const auto patched = [&](std::size_t at, double v) {
+    std::ostringstream os(std::ios::binary);
+    io::write_f64(os, v);
+    std::string corrupt = blob;
+    corrupt.replace(at, 8, os.str());
+    return corrupt;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::size_t, double>> corruptions = {
+      {kLastReleaseAt, util::kInf},   {kLastReleaseAt, nan},
+      {kRetiredEnergyAt, util::kInf}, {kRetiredEnergyAt, nan},
+      {kRetiredEnergyAt, -1.0},       {load_at, util::kInf},
+      {load_at, nan}};
+  for (const auto& [at, v] : corruptions) {
+    PdScheduler target(kMachine, {});
+    std::istringstream is(patched(at, v), std::ios::binary);
+    EXPECT_THROW(io::load_scheduler(is, target), std::invalid_argument)
+        << "offset " << at << " value " << v;
+  }
+  // Finite, nonnegative patches still load.
+  PdScheduler target(kMachine, {});
+  std::istringstream is(patched(kRetiredEnergyAt, 0.5), std::ios::binary);
+  io::load_scheduler(is, target);
+  EXPECT_EQ(target.retired_energy(), 0.5);
 }
 
 TEST(Checkpoint, FreshSchedulerRoundTrips) {

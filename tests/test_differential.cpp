@@ -2,9 +2,8 @@
 // reference oracle.
 //
 // core::PdScheduler runs one engine — interval-store state, curve-cache
-// water fill — with two always-on certified fast paths: the segment-tree
-// screen and lazy water levels (closed-form accepts committed as range
-// annotations). It must be *decision-identical* to reference::ReferencePd,
+// water fill — with one always-on certified fast path, the segment-tree
+// screen. It must be *decision-identical* to reference::ReferencePd,
 // the stateless contiguous oracle (tests/support/reference_pd): same
 // accept/reject bits, and bitwise-equal lambdas, speeds, planned energies,
 // and final-schedule cost, on every instance we can generate. The engine
@@ -13,7 +12,7 @@
 // are exact, not NEAR — any reordering of floating-point work in a future
 // change will show up as a hard failure, which is the point. Fractional PD
 // is held to its oracle the same way. The families that exist to exercise
-// a fast path also assert that it fired, so a path that silently stopped
+// the screen also assert that it fired, so a screen that silently stopped
 // engaging cannot pass as "identical".
 //
 // Coverage: ~1k seeded instances across uniform, bursty (Poisson heavy
@@ -22,8 +21,11 @@
 // families (bisection deadlines and heavy-tailed lookahead anchors) that
 // stress the Section-3 refinement machinery, a wide-window family where
 // the screen fires, and an accept-heavy long-horizon family where pruned
-// rejections are rare (the lazy water-level regime). A canary feeds the
-// harness a one-ulp-wrong oracle to prove the harness compares something.
+// rejections are rare. Random mutation tortures (OracleTorture) interleave
+// tick accepts, wide overlaps, off-grid splits, rejections, advance_to and
+// session recycling, comparing the materialized state at every snapshot. A
+// canary feeds the harness a one-ulp-wrong oracle to prove the harness
+// compares something.
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
@@ -61,7 +63,7 @@ bool same_decision(const core::ArrivalDecision& a,
 }
 
 // Feeds the oracle and the engine in lockstep and returns the engine's
-// counters, so callers can assert which fast paths the run engaged. The
+// counters, so callers can assert whether the screen engaged. The
 // first divergence is reported as exactly one non-fatal failure and ends
 // the comparison (so the canary below can intercept it).
 core::PdCounters expect_engine_identical(const model::Instance& instance,
@@ -100,7 +102,7 @@ core::PdCounters expect_engine_identical(const model::Instance& instance) {
 }
 
 // Fractional PD against its oracle; returns the engine's result so callers
-// can assert which fast paths the run engaged.
+// can assert whether the screen engaged.
 core::FractionalPdResult expect_fractional_identical(
     const model::Instance& instance) {
   const auto oracle = reference::run_fractional_pd(instance);
@@ -282,15 +284,12 @@ TEST_P(PdDifferential, WideWindowInstances) {
   }
 }
 
-// Accept-heavy long-horizon family: the lazy water-level regime. A stream
-// of tick jobs marches along an integer grid, each with a one-interval
-// virgin window at the release frontier and a value chosen to be accepted —
-// the certified closed-form fast path, committed as range annotations.
-// Periodic wide jobs overlap many pending tick annotations (bulk
-// materialization followed by the exact scan), rare low-value losers are
-// the only rejections, and in the second half occasional half-tick
-// (power-of-two) releases refine the detected grid unit and split pending
-// annotations through the before_boundary hook.
+// Accept-heavy long-horizon family. A stream of tick jobs marches along an
+// integer grid, each with a one-interval empty window at the release
+// frontier and a value chosen to be accepted. Periodic wide jobs overlap
+// many committed tick loads, rare low-value losers are the only
+// rejections, and in the second half occasional half-tick releases split
+// intervals that already carry committed loads.
 model::Instance accept_heavy_instance(int num_ticks, Machine machine,
                                       std::uint64_t seed) {
   util::Rng rng(seed);
@@ -306,7 +305,7 @@ model::Instance accept_heavy_instance(int num_ticks, Machine machine,
                  rng.uniform(4.0, 8.0);  // comfortably accepted
     jobs.push_back(tick);
     if (t % 8 == 5) {
-      model::Job wide;  // overlaps the pending tick annotations ahead
+      model::Job wide;  // overlaps the committed tick loads ahead
       wide.id = id++;
       wide.release = double(t);
       wide.deadline = double(t) + 9.0;
@@ -325,7 +324,7 @@ model::Instance accept_heavy_instance(int num_ticks, Machine machine,
       jobs.push_back(loser);
     }
     if (t >= num_ticks / 2 && t % 10 == 7) {
-      model::Job half;  // off-tick boundary: splits pending annotations
+      model::Job half;  // off-tick boundary: splits committed loads
       half.id = id++;
       half.release = double(t) + 0.5;
       half.deadline = double(t) + 2.5;
@@ -346,17 +345,11 @@ TEST_P(PdDifferential, AcceptHeavyLongHorizonInstances) {
                                             8300 + std::uint64_t(seed));
     const core::PdCounters counters = expect_engine_identical(inst);
     if (::testing::Test::HasFailure()) return;
-    // The engine must demonstrably exercise the lazy machinery on this
-    // family, not merely match it: closed-form accepts committed as
-    // annotations AND annotations expanded on touch.
-    EXPECT_GT(counters.lazy_fast_path, 0);
-    EXPECT_GT(counters.lazy_commits, 0);
-    EXPECT_GT(counters.lazy_materializations, 0);
+    // The family must really be accept-heavy and really split loaded
+    // intervals, not merely match the oracle.
     EXPECT_LT(counters.rejected, counters.accepted / 4);
-    const core::FractionalPdResult fractional =
-        expect_fractional_identical(inst);
-    EXPECT_GT(fractional.lazy_commits, 0);
-    EXPECT_GT(fractional.lazy_materializations, 0);
+    EXPECT_GT(counters.interval_splits, 0);
+    expect_fractional_identical(inst);
   }
 }
 
@@ -393,6 +386,198 @@ TEST(OracleCanary, OneUlpDeltaNudgeIsReported) {
       "diverged from the oracle");
   // The un-nudged oracle on the same instance is clean.
   expect_engine_identical(inst);
+}
+
+// ------------------------------------------------------ mutation tortures
+
+void expect_assignment_equal(const model::WorkAssignment& a,
+                             const model::WorkAssignment& b,
+                             const std::string& what) {
+  ASSERT_EQ(a.num_intervals(), b.num_intervals()) << what;
+  for (std::size_t k = 0; k < a.num_intervals(); ++k) {
+    const auto& la = a.loads(k);
+    const auto& lb = b.loads(k);
+    ASSERT_EQ(la.size(), lb.size()) << what << " interval " << k;
+    for (std::size_t i = 0; i < la.size(); ++i) {
+      ASSERT_EQ(la[i].job, lb[i].job) << what << " interval " << k;
+      ASSERT_EQ(la[i].amount, lb[i].amount)
+          << what << " interval " << k << " job " << la[i].job;
+    }
+  }
+}
+
+// Drives the scheduler and the oracle through `steps` random mutations —
+// frontier tick accepts, wide arrivals overlapping committed loads,
+// off-grid splits, rejections, idle advance_to ticks and frontier jumps —
+// comparing decisions on every arrival and the full partition, loads and
+// planned energy every `compare_every` steps (1: after every mutation).
+void run_torture(std::uint64_t seed, double alpha, int m, int steps,
+                 int compare_every) {
+  const Machine machine{m, alpha};
+  PdScheduler engine(machine);
+  reference::ReferencePd oracle(machine);
+  util::Rng rng(seed);
+  double clock = 0.0;
+  int id = 0;
+  const auto arrive = [&](double release, double span, double value_mult) {
+    model::Job job;
+    job.id = id++;
+    job.release = release;
+    job.deadline = release + span;
+    job.work = rng.uniform(0.3, 1.5);
+    job.value = workload::energy_fair_value(job, alpha) * value_mult;
+    const auto a = engine.on_arrival(job);
+    const auto b = oracle.on_arrival(job);
+    ASSERT_EQ(a.accepted, b.accepted) << job.to_string();
+    ASSERT_EQ(a.speed, b.speed) << job.to_string();
+    ASSERT_EQ(a.lambda, b.lambda) << job.to_string();
+    ASSERT_EQ(a.planned_energy, b.planned_energy) << job.to_string();
+  };
+  // Deterministic warm-up: a few frontier tick accepts, so the random
+  // refinements below start from intervals that already carry loads.
+  for (int t = 0; t < 6; ++t) {
+    arrive(clock, 1.0, 5.0);
+    if (::testing::Test::HasFatalFailure()) return;
+    clock += 1.0;
+  }
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const int op = int(rng.uniform(0.0, 100.0));
+    if (op < 40) {
+      arrive(clock, 1.0, rng.uniform(3.0, 8.0));  // frontier tick accept
+    } else if (op < 55) {
+      arrive(clock, 1.0 + double(int(rng.uniform(1.0, 8.0))),
+             rng.uniform(1.0, 6.0));  // wide: overlaps committed loads
+    } else if (op < 65) {
+      arrive(clock + 0.5, 2.0, rng.uniform(0.5, 3.0));  // off-grid split
+      clock += 1.0;  // keep releases nondecreasing past the half-tick
+    } else if (op < 73) {
+      arrive(clock, 2.0, 0.01);  // rejection
+    } else if (op < 85) {
+      clock += 1.0;  // idle tick: the clock moves, no boundary appears
+      engine.advance_to(clock);  // the oracle has no clock to advance
+    } else {
+      clock += double(int(rng.uniform(0.0, 2.0)));  // jump the frontier
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    if (step % compare_every == compare_every - 1) {
+      const std::string what = "step " + std::to_string(step);
+      ASSERT_EQ(engine.partition().boundaries(),
+                oracle.partition().boundaries())
+          << what;
+      expect_assignment_equal(engine.assignment(), oracle.assignment(), what);
+      if (::testing::Test::HasFatalFailure()) return;
+      ASSERT_EQ(engine.planned_energy(), oracle.planned_energy()) << what;
+    }
+    if (op % 3 == 0) clock += 1.0;
+  }
+  ASSERT_EQ(engine.partition().boundaries(), oracle.partition().boundaries());
+  expect_assignment_equal(engine.assignment(), oracle.assignment(), "final");
+  ASSERT_EQ(engine.planned_energy(), oracle.planned_energy());
+}
+
+TEST(OracleTorture, CompareEveryStep) {
+  run_torture(/*seed=*/101, /*alpha=*/2.0, /*m=*/1, /*steps=*/160,
+              /*compare_every=*/1);
+  run_torture(/*seed=*/102, /*alpha=*/1.3, /*m=*/4, /*steps=*/120,
+              /*compare_every=*/1);
+}
+
+TEST(OracleTorture, SparseComparisons) {
+  // Sparse comparisons: long runs of splits, wide overlaps and idle ticks
+  // between two snapshots.
+  run_torture(/*seed=*/201, /*alpha=*/2.0, /*m=*/1, /*steps=*/240,
+              /*compare_every=*/13);
+  run_torture(/*seed=*/202, /*alpha=*/3.0, /*m=*/4, /*steps=*/240,
+              /*compare_every=*/29);
+  run_torture(/*seed=*/203, /*alpha=*/1.1, /*m=*/16, /*steps=*/160,
+              /*compare_every=*/17);
+}
+
+// Multi-interval accepts on an empty unit grid: hopeless planters lay a
+// grid ahead of the frontier, then accepters whose windows span several of
+// those empty intervals place one share in each — the residue-absorbing
+// first share included. The committed loads must be bitwise the oracle's.
+TEST(OracleTorture, MultiIntervalAcceptsMatchOracleLoads) {
+  for (const int m : {1, 3, 8}) {
+    SCOPED_TRACE("m=" + std::to_string(m));
+    const Machine machine{m, 2.5};
+    PdScheduler engine(machine);
+    reference::ReferencePd oracle(machine);
+    util::Rng rng(900 + std::uint64_t(m));
+    int id = 0;
+    const auto arrive = [&](double release, double deadline, double work,
+                            double value_mult) {
+      model::Job job;
+      job.id = id++;
+      job.release = release;
+      job.deadline = deadline;
+      job.work = work;
+      job.value = workload::energy_fair_value(job, machine.alpha) * value_mult;
+      const auto a = engine.on_arrival(job);
+      const auto b = oracle.on_arrival(job);
+      ASSERT_EQ(a.accepted, b.accepted) << job.to_string();
+      ASSERT_EQ(a.speed, b.speed) << job.to_string();
+      ASSERT_EQ(a.lambda, b.lambda) << job.to_string();
+      ASSERT_EQ(a.planned_energy, b.planned_energy) << job.to_string();
+    };
+    constexpr int kSpan = 13;  // widest accept window, in ticks
+    for (int t = 0; t < 120; ++t) {
+      arrive(double(t), double(t + kSpan + 2), 1.0, 1e-3);  // planter
+      if (::testing::Test::HasFatalFailure()) return;
+      if (t % kSpan == 0) {
+        const int width = 2 + int(rng.uniform_int(0, kSpan - 2));
+        arrive(double(t), double(t + width),
+               rng.uniform(0.3, 3.0) * double(width), 8.0);  // accepter
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    ASSERT_EQ(engine.partition().boundaries(),
+              oracle.partition().boundaries());
+    expect_assignment_equal(engine.assignment(), oracle.assignment(),
+                            "committed");
+    ASSERT_EQ(engine.planned_energy(), oracle.planned_energy());
+  }
+}
+
+// reset() must drop all committed state (not replay it into the next
+// stream). A recycled scheduler re-run on a fresh stream must be
+// indistinguishable from a newly constructed one — the SessionTable
+// pooling contract of the stream engine.
+TEST(OracleTorture, RecycledSchedulerMatchesFresh) {
+  const Machine machine{2, 2.0};
+  const auto stream = [](std::uint64_t seed) {
+    util::Rng rng(seed);
+    std::vector<model::Job> jobs;
+    for (int t = 0; t < 40; ++t) {
+      model::Job job;
+      job.id = t;
+      job.release = double(t);
+      job.deadline = double(t) + (t % 5 == 3 ? 6.0 : 1.0);
+      job.work = rng.uniform(0.4, 1.4);
+      job.value = workload::energy_fair_value(job, 2.0) * rng.uniform(2.0, 6.0);
+      jobs.push_back(job);
+    }
+    return jobs;
+  };
+  PdScheduler recycled(machine, {});
+  for (const model::Job& job : stream(11)) (void)recycled.on_arrival(job);
+  EXPECT_GT(recycled.counters().accepted, 0);
+  recycled.reset();
+
+  PdScheduler fresh(machine, {});
+  for (const model::Job& job : stream(22)) {
+    const auto a = recycled.on_arrival(job);
+    const auto b = fresh.on_arrival(job);
+    ASSERT_EQ(a.accepted, b.accepted) << job.to_string();
+    ASSERT_EQ(a.speed, b.speed) << job.to_string();
+    ASSERT_EQ(a.lambda, b.lambda) << job.to_string();
+    ASSERT_EQ(a.planned_energy, b.planned_energy) << job.to_string();
+  }
+  ASSERT_EQ(recycled.partition().boundaries(), fresh.partition().boundaries());
+  expect_assignment_equal(recycled.assignment(), fresh.assignment(),
+                          "recycled");
+  ASSERT_EQ(recycled.planned_energy(), fresh.planned_energy());
 }
 
 INSTANTIATE_TEST_SUITE_P(

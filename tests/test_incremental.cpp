@@ -167,9 +167,9 @@ TEST(CacheInvalidation, PrependThroughReleaseTolerance) {
 TEST(CacheInvalidation, OnlineStatePrependKeepsCacheAligned) {
   OnlineState state;
   CurveCache cache;
-  state.ensure_boundary(1.0, &cache);
-  state.ensure_boundary(2.0, &cache);
-  state.ensure_boundary(3.0, &cache);
+  state.ensure_boundary(1.0);
+  state.ensure_boundary(2.0);
+  state.ensure_boundary(3.0);
   ASSERT_EQ(state.num_intervals(), 2u);
   state.store.set_load(state.store.handle_at(0), 7, 1.5);
   state.store.set_load(state.store.handle_at(1), 8, 0.5);
@@ -178,7 +178,7 @@ TEST(CacheInvalidation, OnlineStatePrependKeepsCacheAligned) {
   const std::vector<util::PiecewiseLinear::Knot> knots0 = before[0]->knots();
   ASSERT_EQ(cache.stats().rebuilds, 2);
 
-  state.ensure_boundary(0.5, &cache);  // t < lo: prepend
+  state.ensure_boundary(0.5);  // t < lo: prepend
   ASSERT_EQ(state.num_intervals(), 3u);
   EXPECT_EQ(state.horizon_extensions, 2);  // the append at t=3, this prepend
   // Job 7's load moved to position 1 with its interval.

@@ -174,10 +174,10 @@ TEST(SessionTable, RecycledSchedulerStartsClean) {
 }
 
 TEST(SessionTable, RecycledSessionReplaysNoStaleLazyLevels) {
-  // Pure tick streams are the lazy fast-path regime: accepts become
-  // pending range annotations. A recycled session serving a second stream
-  // over the *same* time range must not replay the first stream's water
-  // levels — its results and lazy counters must match a fresh session's.
+  // Pure tick streams: nearly every arrival is accepted into a
+  // one-interval window. A recycled session serving a second stream over
+  // the *same* time range must not replay the first stream's committed
+  // loads — its results and counters must match a fresh session's.
   auto config = small_config(1, 40);
   config.jobs_per_tick = 1.0;
   config.min_span = 1;
@@ -186,12 +186,12 @@ TEST(SessionTable, RecycledSessionReplaysNoStaleLazyLevels) {
   stream::SessionTable table(kMachine, {}, true);
   for (const model::Job& job : jobs) table.feed(1, job);
   const stream::StreamResult* first = table.close(1);
-  EXPECT_GT(first->counters.lazy_commits, 0);  // the fast path really ran
+  EXPECT_GT(first->counters.accepted, 0);
   for (const model::Job& job : jobs) table.feed(2, job);  // recycled object
   const stream::StreamResult* again = table.close(2);
   EXPECT_EQ(again->planned_energy, first->planned_energy);
-  EXPECT_EQ(again->counters.lazy_fast_path, first->counters.lazy_fast_path);
-  EXPECT_EQ(again->counters.lazy_commits, first->counters.lazy_commits);
+  EXPECT_EQ(again->counters.accepted, first->counters.accepted);
+  EXPECT_EQ(again->counters.interval_splits, first->counters.interval_splits);
   ASSERT_EQ(again->decisions.size(), first->decisions.size());
   for (std::size_t i = 0; i < first->decisions.size(); ++i) {
     EXPECT_EQ(again->decisions[i].second.accepted,
@@ -270,20 +270,19 @@ TEST(StreamEngine, ShardCountInvarianceBitwise1_4_16) {
             at16.snapshot.counters.interval_splits);
 }
 
-// On lazy-heavy tick streams, any shard count produces bitwise-identical
+// On accept-heavy tick streams, any shard count produces bitwise-identical
 // per-stream decisions, and every stream is bitwise identical to the
 // test-only reference oracle fed the same jobs.
 TEST(StreamEngine, ShardCountInvarianceHoldsWithLazyLevels) {
   auto config = small_config(24, 32);
-  config.jobs_per_tick = 1.0;  // tick streams: the lazy fast-path regime
+  config.jobs_per_tick = 1.0;  // tick streams: accept-heavy
   config.min_span = 1;
   config.max_span = 4;
   const auto one = sim::sweep_streams(config, engine_options(1));
   const auto five = sim::sweep_streams(config, engine_options(5));
-  // The annotation machinery demonstrably ran.
-  EXPECT_GT(one.snapshot.counters.lazy_commits, 0);
-  EXPECT_EQ(one.snapshot.counters.lazy_commits,
-            five.snapshot.counters.lazy_commits);
+  EXPECT_GT(one.snapshot.counters.accepted, 0);
+  EXPECT_EQ(one.snapshot.counters.accepted,
+            five.snapshot.counters.accepted);
   ASSERT_EQ(one.streams.size(), 24u);
   ASSERT_EQ(five.streams.size(), 24u);
   for (std::size_t s = 0; s < 24; ++s) {
