@@ -188,11 +188,13 @@ echo "benchmark-checks: OK (every perfbench workload passed its output checks)"
 # prefix compaction, checkpoint/restore and the stream engine end to end,
 # plus the oracle differential suite, which drives the engine (segment-tree
 # screen, curve cache, exact water fill, random mutation tortures) hardest,
-# the screen suite: tree maintenance runs on every arrival, and the ingest
-# suite: op-log frame decoding and the spill/restore byte paths.
+# the screen suite: tree maintenance runs on every arrival, the ingest
+# suite: op-log frame decoding and the spill/restore byte paths, and the
+# fractional suite: fractional PD runs the exact window_capacity scan on
+# every arrival.
 cd "${ROOT}"
 SAN_DIR="${BUILD_DIR}-asan"
-SAN_SUITES="test_compaction test_stream test_interval_store test_recovery test_differential test_window test_ingest"
+SAN_SUITES="test_compaction test_stream test_interval_store test_recovery test_differential test_window test_ingest test_fractional"
 rm -rf "${SAN_DIR}"
 cmake -B "${SAN_DIR}" -S . -DPSS_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug > /dev/null
 cmake --build "${SAN_DIR}" -j --target ${SAN_SUITES}

@@ -11,14 +11,14 @@ namespace pss::convex {
 namespace {
 
 // Relative slack applied at every combine so that floating-point rounding
-// can never push a bound across the true value. Compounds to ~4e-11 over
+// can never push the bound below the true value. Compounds to ~4e-11 over
 // the ~40 levels of a million-node treap — far below the query slack.
 constexpr double kCombineSlack = 1e-12;
-// Final widening of a query's accumulated bounds. Chosen to dominate both
+// Final inflation of a query's accumulated bound. Chosen to dominate both
 // the combine-slack compounding and the *reference path's* own summation
 // rounding (a window-order sum of w terms is within ~w*eps relative of the
 // exact value; w <= 1M gives ~1e-10, leaving two orders of margin). A
-// decision certified under these bounds is therefore a decision the exact
+// decision certified under this bound is therefore a decision the exact
 // linear scan would also take.
 constexpr double kQuerySlack = 1e-8;
 
@@ -37,20 +37,9 @@ std::size_t CurveSegmentTree::Summary::cell_of(double px) const {
   return lo;
 }
 
-double CurveSegmentTree::Summary::point_lo(double px) const {
-  // No zero-clamp here even though curve sums are nonnegative: clamping
-  // would make the envelope convex-kinked between knots, and the merge's
-  // losslessness rests on it being linear there. Queries clamp instead.
-  const std::size_t i = cell_of(px);
-  if (i + 1 == size()) return lo(i) + tail_lo * (px - x(i));
-  if (px == x(i)) return lo(i);
-  const double t = (px - x(i)) / (x(i + 1) - x(i));
-  return lo(i) + t * (lo(i + 1) - lo(i));
-}
-
 double CurveSegmentTree::Summary::point_hi(double px) const {
   const std::size_t i = cell_of(px);
-  if (i + 1 == size()) return hi(i) + tail_hi * (px - x(i));
+  if (i + 1 == size()) return hi(i) + tail * (px - x(i));
   if (px == x(i)) return hi(i);
   const double t = (px - x(i)) / (x(i + 1) - x(i));
   return hi(i) + t * (hi(i + 1) - hi(i));
@@ -235,60 +224,52 @@ void CurveSegmentTree::absorb_new_handles(const model::IntervalStore& store) {
 void CurveSegmentTree::compress(Summary& s) {
   const std::size_t count = s.size();
   if (count <= kMaxKnots) return;
-  // Kept knots balanced by lower-envelope increase (first and last always
+  // Kept knots balanced by upper-envelope rise (first and last always
   // kept), so value-flat stretches collapse into single cells.
   std::size_t kept[kMaxKnots];
   std::size_t nk = 0;
   kept[nk++] = 0;
-  const double range = s.lo(count - 1) - s.lo(0);
+  const double range = s.hi(count - 1) - s.hi(0);
   const double step = range > 0.0
                           ? range / double(kMaxKnots - 1)
                           : std::numeric_limits<double>::infinity();
-  double next_target = s.lo(0) + step;
+  double next_target = s.hi(0) + step;
   for (std::size_t i = 1; i + 1 < count && nk + 1 < kMaxKnots; ++i) {
-    if (s.lo(i) >= next_target) {
+    if (s.hi(i) >= next_target) {
       kept[nk++] = i;
-      next_target = s.lo(i) + step;
+      next_target = s.hi(i) + step;
     }
   }
   kept[nk++] = count - 1;
 
-  // Per kept cell, the chord's worst deficiency against the old envelope
-  // at the dropped knots (piecewise-linear differences are extremal at
-  // knots). Folding each knot's adjacent-cell deficiencies into the knot
-  // value keeps the envelopes continuous, which is what makes the next
-  // merge lossless: the new lower segment through two lowered knots lies
-  // under the old chord minus its cell deficiency, hence under the old
-  // envelope — and symmetrically for the upper one.
-  double def_lo[kMaxKnots] = {0.0};
-  double def_hi[kMaxKnots] = {0.0};
+  // Per kept cell, the old envelope's worst excess over the chord at the
+  // dropped knots (piecewise-linear differences are extremal at knots).
+  // Folding each knot's adjacent-cell excesses into the knot value keeps
+  // the envelope continuous, which is what makes the next merge lossless:
+  // the new segment through two raised knots lies above the old chord plus
+  // its cell excess, hence above the old envelope.
+  double excess[kMaxKnots] = {0.0};
   for (std::size_t c = 0; c + 1 < nk; ++c) {
     const std::size_t i = kept[c];
     const std::size_t e = kept[c + 1];
     const double x0 = s.x(i), x1 = s.x(e);
-    const double lo0 = s.lo(i), lo1 = s.lo(e);
     const double hi0 = s.hi(i), hi1 = s.hi(e);
-    double dlo = 0.0, dhi = 0.0;
+    double d = 0.0;
     for (std::size_t j = i + 1; j < e; ++j) {
       const double t = (s.x(j) - x0) / (x1 - x0);
-      dlo = std::max(dlo, (lo0 + t * (lo1 - lo0)) - s.lo(j));
-      dhi = std::max(dhi, s.hi(j) - (hi0 + t * (hi1 - hi0)));
+      d = std::max(d, s.hi(j) - (hi0 + t * (hi1 - hi0)));
     }
-    def_lo[c] = dlo;
-    def_hi[c] = dhi;
+    excess[c] = d;
   }
 
   std::vector<double>& packed = scratch_packed_;
   packed.clear();
-  packed.reserve(3 * nk);
+  packed.reserve(2 * nk);
   for (std::size_t c = 0; c < nk; ++c) {
     const std::size_t i = kept[c];
-    const double mlo = std::max(c > 0 ? def_lo[c - 1] : 0.0,
-                                c + 1 < nk ? def_lo[c] : 0.0);
-    const double mhi = std::max(c > 0 ? def_hi[c - 1] : 0.0,
-                                c + 1 < nk ? def_hi[c] : 0.0);
-    packed.insert(packed.end(),
-                  {s.x(i), s.lo(i) - mlo, s.hi(i) + mhi});
+    const double lift = std::max(c > 0 ? excess[c - 1] : 0.0,
+                                 c + 1 < nk ? excess[c] : 0.0);
+    packed.insert(packed.end(), {s.x(i), s.hi(i) + lift});
   }
   s.knots.swap(packed);
 }
@@ -306,35 +287,22 @@ void CurveSegmentTree::combine(const Summary* a, const Summary& self,
                     scratch_xs_.end());
 
   // Merge: every part's envelope is linear between union knots, so
-  // summing the evaluations at the union knots is lossless — width is
+  // summing the evaluations at the union knots is lossless — looseness is
   // added only by compress().
   out.knots.clear();
-  out.knots.reserve(3 * scratch_xs_.size());
+  out.knots.reserve(2 * scratch_xs_.size());
   for (const double u : scratch_xs_) {
-    double lo = 0.0, hi = 0.0;
-    for (const Summary* part : parts) {
-      if (!part) continue;
-      lo += part->point_lo(u);
-      hi += part->point_hi(u);
-    }
-    lo *= 1.0 - kCombineSlack;
-    hi *= 1.0 + kCombineSlack;
-    out.knots.insert(out.knots.end(), {u, lo, hi});
+    double hi = 0.0;
+    for (const Summary* part : parts)
+      if (part) hi += part->point_hi(u);
+    out.knots.insert(out.knots.end(), {u, hi * (1.0 + kCombineSlack)});
   }
   compress(out);
 
-  double tail_lo = self.tail_lo;
-  double tail_hi = self.tail_hi;
-  if (a) {
-    tail_lo += a->tail_lo;
-    tail_hi += a->tail_hi;
-  }
-  if (b) {
-    tail_lo += b->tail_lo;
-    tail_hi += b->tail_hi;
-  }
-  out.tail_lo = tail_lo * (1.0 - kCombineSlack);
-  out.tail_hi = tail_hi * (1.0 + kCombineSlack);
+  double tail = self.tail;
+  if (a) tail += a->tail;
+  if (b) tail += b->tail;
+  out.tail = tail * (1.0 + kCombineSlack);
 }
 
 void CurveSegmentTree::pull(Handle h, const model::IntervalStore& store,
@@ -350,8 +318,8 @@ void CurveSegmentTree::pull(Handle h, const model::IntervalStore& store,
     const util::PiecewiseLinear& curve = curve_of(h);
     n.self.knots.clear();
     for (const util::PiecewiseLinear::Knot& k : curve.knots())
-      n.self.knots.insert(n.self.knots.end(), {k.x, k.y, k.y});
-    n.self.tail_lo = n.self.tail_hi = curve.final_slope();
+      n.self.knots.insert(n.self.knots.end(), {k.x, k.y});
+    n.self.tail = curve.final_slope();
     compress(n.self);
     n.self_stale = false;
   }
@@ -362,31 +330,17 @@ void CurveSegmentTree::pull(Handle h, const model::IntervalStore& store,
   ++stats_.node_pulls;
 }
 
-void CurveSegmentTree::accumulate_exact(Handle h, double speed,
-                                        const CurveFn& curve_of, double& lo,
-                                        double& hi) {
-  const double z = curve_of(h).eval(speed);
-  lo += z;
-  hi += z;
-}
-
-void CurveSegmentTree::accumulate_subtree(Handle h, double speed, double& lo,
+void CurveSegmentTree::accumulate_subtree(Handle h, double speed,
                                           double& hi) {
-  if (h == kNull) return;
-  const Summary& agg = nodes_[h].agg;
-  // Clamping is valid here (the subtree's true sum is nonnegative, and
-  // query contributions are only ever added, never interpolated over).
-  lo += std::max(0.0, agg.point_lo(speed));
-  hi += agg.point_hi(speed);
+  if (h != kNull) hi += nodes_[h].agg.point_hi(speed);
 }
 
 void CurveSegmentTree::accumulate_ge(Handle h, double klo, double speed,
-                                     const CurveFn& curve_of, double& lo,
-                                     double& hi) {
+                                     const CurveFn& curve_of, double& hi) {
   while (h != kNull) {
     if (nodes_[h].key >= klo) {
-      accumulate_exact(h, speed, curve_of, lo, hi);
-      accumulate_subtree(nodes_[h].right, speed, lo, hi);
+      hi += curve_of(h).eval(speed);
+      accumulate_subtree(nodes_[h].right, speed, hi);
       h = nodes_[h].left;
     } else {
       h = nodes_[h].right;
@@ -395,12 +349,11 @@ void CurveSegmentTree::accumulate_ge(Handle h, double klo, double speed,
 }
 
 void CurveSegmentTree::accumulate_le(Handle h, double khi, double speed,
-                                     const CurveFn& curve_of, double& lo,
-                                     double& hi) {
+                                     const CurveFn& curve_of, double& hi) {
   while (h != kNull) {
     if (nodes_[h].key <= khi) {
-      accumulate_exact(h, speed, curve_of, lo, hi);
-      accumulate_subtree(nodes_[h].left, speed, lo, hi);
+      hi += curve_of(h).eval(speed);
+      accumulate_subtree(nodes_[h].left, speed, hi);
       h = nodes_[h].right;
     } else {
       h = nodes_[h].left;
@@ -410,7 +363,7 @@ void CurveSegmentTree::accumulate_le(Handle h, double khi, double speed,
 
 void CurveSegmentTree::accumulate(Handle h, double klo, double khi,
                                   double speed, const CurveFn& curve_of,
-                                  double& lo, double& hi) {
+                                  double& hi) {
   while (h != kNull) {
     if (nodes_[h].key < klo) {
       h = nodes_[h].right;
@@ -418,15 +371,15 @@ void CurveSegmentTree::accumulate(Handle h, double klo, double khi,
       h = nodes_[h].left;
     } else {
       // Split node: itself in range, the range continues into both sides.
-      accumulate_exact(h, speed, curve_of, lo, hi);
-      accumulate_ge(nodes_[h].left, klo, speed, curve_of, lo, hi);
-      accumulate_le(nodes_[h].right, khi, speed, curve_of, lo, hi);
+      hi += curve_of(h).eval(speed);
+      accumulate_ge(nodes_[h].left, klo, speed, curve_of, hi);
+      accumulate_le(nodes_[h].right, khi, speed, curve_of, hi);
       return;
     }
   }
 }
 
-CapacityBounds CurveSegmentTree::window_capacity_bounds(
+double CurveSegmentTree::window_capacity_bound(
     const model::IntervalStore& store, model::IntervalRange window,
     double speed, const CurveFn& curve_of) {
   PSS_REQUIRE(window.first < window.last, "empty placement window");
@@ -438,11 +391,10 @@ CapacityBounds CurveSegmentTree::window_capacity_bounds(
   if (nodes_[root_].stale) pull(root_, store, curve_of);
   const double klo = nodes_[store.handle_at(window.first)].key;
   const double khi = nodes_[store.handle_at(window.last - 1)].key;
-  double lo = 0.0, hi = 0.0;
-  accumulate(root_, klo, khi, speed, curve_of, lo, hi);
+  double hi = 0.0;
+  accumulate(root_, klo, khi, speed, curve_of, hi);
   ++stats_.queries;
-  return {std::max(0.0, lo * (1.0 - kQuerySlack)),
-          hi * (1.0 + kQuerySlack)};
+  return hi * (1.0 + kQuerySlack);
 }
 
 }  // namespace pss::convex

@@ -1,5 +1,5 @@
-// Segment tree over per-interval insertion curves: certified capacity
-// bounds for wide-window placement in O(log n · log knots).
+// Segment tree over per-interval insertion curves: a certified upper bound
+// on window capacity for wide-window placement in O(log n · log knots).
 //
 // The water-filling placement of one arrival evaluates the aggregate
 // insertion curve Z(s) = sum_{k in window} z_k(s) — O(window) work even
@@ -15,31 +15,30 @@
 // impossible to keep bit-identical to the linear reference — the reference
 // sums curve values in window order, floating-point addition is not
 // associative, and any tree-shaped aggregation reorders it. So the tree
-// does not compute Z(s); it computes *certified two-sided bounds*
-// [lo, hi] with lo <= Z(s) <= hi:
+// does not compute Z(s); it computes a *certified upper bound* hi >= Z(s).
+// One side is all a rejection screen needs: only an upper bound on the
+// window's capacity can prove that the workload does not fit.
 //
 //   * every node holds a compressed summary (<= kMaxKnots knots) of its
-//     subtree's summed curve: kept x's with a [lo, hi] value interval per
-//     knot, such that for x in [x_i, x_{i+1}) the true sum lies in
-//     [lo_i, hi_{i+1}] (monotonicity makes dropped knots safe), plus
-//     slack-inflated tail slopes past the last knot;
+//     subtree's summed curve: a continuous piecewise-linear upper envelope
+//     over kept x's, plus a slack-inflated tail slope past the last knot;
 //   * a range query decomposes the window into O(log n) canonical
 //     subtrees, evaluates each summary at s by binary search
 //     (O(log kMaxKnots)), and evaluates the O(log n) boundary intervals'
 //     exact curves directly;
-//   * every floating-point combine step widens the interval by a relative
-//     slack, and the final bounds are widened once more by a slack chosen
-//     to dominate the reference path's own summation rounding (<= c·w·eps
-//     relative for a window of w intervals, so 1e-8 covers w <= 1M with
-//     two orders of magnitude to spare).
+//   * every floating-point combine step inflates the envelope by a
+//     relative slack, and the final bound is inflated once more by a slack
+//     chosen to dominate the reference path's own summation rounding
+//     (<= c·w·eps relative for a window of w intervals, so 1e-8 covers
+//     w <= 1M with two orders of magnitude to spare).
 //
-// A caller may then take any decision that is *certain* under the bounds
+// A caller may then take any decision that is *certain* under the bound
 // (hi < work proves the linear reference would reject) and must fall back
-// to the exact reference arithmetic when the bounds are inconclusive.
-// Decisions are therefore bitwise identical to the linear scan by
-// construction — the differential matrix in tests/test_differential.cpp
-// verifies it end to end — while margin-clear wide-window rejections cost
-// O(log n · log knots) instead of O(window).
+// to the exact reference arithmetic otherwise. Decisions are therefore
+// bitwise identical to the linear scan by construction — the differential
+// matrix in tests/test_differential.cpp verifies it end to end — while
+// margin-clear wide-window rejections cost O(log n · log knots) instead of
+// O(window).
 //
 // Structure maintenance mirrors model::IntervalStore's handle discipline:
 // nodes live in a slab addressed by store handles, ordered by interval
@@ -71,14 +70,6 @@
 
 namespace pss::convex {
 
-/// Certified enclosure of a window capacity: lo <= Z(s) <= hi, where Z is
-/// the mathematically exact aggregate curve AND any window-order
-/// floating-point summation of it (the slack absorbs both).
-struct CapacityBounds {
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
 class CurveSegmentTree {
  public:
   using Handle = model::IntervalStore::Handle;
@@ -87,7 +78,7 @@ class CurveSegmentTree {
   using CurveFn =
       std::function<const util::PiecewiseLinear&(Handle)>;
 
-  /// Knot budget per node summary. Larger = tighter bounds (fewer exact
+  /// Knot budget per node summary. Larger = a tighter bound (fewer exact
   /// fallbacks) but more memory and combine work per refinement.
   static constexpr std::size_t kMaxKnots = 24;
 
@@ -131,38 +122,37 @@ class CurveSegmentTree {
   void mark_dirty(Handle h);
 
   /// Syncs with the store (absorbs new handles, recombines dirty
-  /// summaries through `curve_of`), then returns certified bounds on the
-  /// window's aggregate insertion-curve value at `speed`. The window must
-  /// be nonempty and `speed > 0`.
-  [[nodiscard]] CapacityBounds window_capacity_bounds(
+  /// summaries through `curve_of`), then returns a certified upper bound
+  /// on the window's aggregate insertion-curve value at `speed`: it
+  /// dominates the mathematically exact sum AND any window-order
+  /// floating-point summation of it (the slack absorbs both). The window
+  /// must be nonempty and `speed > 0`.
+  [[nodiscard]] double window_capacity_bound(
       const model::IntervalStore& store, model::IntervalRange window,
       double speed, const CurveFn& curve_of);
 
  private:
   static constexpr Handle kNull = model::IntervalStore::kNoHandle;
 
-  // Compressed two-sided summary of a monotone piecewise-linear curve
-  // sum f: two *continuous* piecewise-linear envelopes sharing a knot set,
-  // stored as consecutive (x, lo, hi) triples with x strictly increasing
-  // and x[0] == 0 (the shared domain start of all insertion curves), such
-  // that PL(lo) <= f <= PL(hi) everywhere (linear tails past the last
-  // knot). Continuity is the load-bearing property: a sum of continuous
-  // piecewise-linear bounds is itself one, linear between union knots —
-  // so *merging* child summaries by evaluating at the union knot set is
-  // exactly lossless, and enclosure width grows only in compress(), which
-  // folds each dropped kink's chord deficiency into the adjacent kept
-  // knots. Width therefore accrues per level only where a compression
-  // drops a genuine kink, not per knot as step bounds would.
+  // Compressed upper summary of a monotone piecewise-linear curve sum f:
+  // a *continuous* piecewise-linear envelope stored as consecutive (x, hi)
+  // pairs with x strictly increasing and x[0] == 0 (the shared domain
+  // start of all insertion curves), such that f <= PL(hi) everywhere
+  // (linear tail past the last knot). Continuity is the load-bearing
+  // property: a sum of continuous piecewise-linear bounds is itself one,
+  // linear between union knots — so *merging* child summaries by
+  // evaluating at the union knot set is exactly lossless, and the envelope
+  // loosens only in compress(), which folds each dropped kink's excess
+  // over the chord into the adjacent kept knots. Looseness therefore
+  // accrues per level only where a compression drops a genuine kink, not
+  // per knot as step bounds would.
   struct Summary {
-    std::vector<double> knots;  // 3 * size() doubles
-    double tail_lo = 0.0;
-    double tail_hi = 0.0;
-    [[nodiscard]] std::size_t size() const { return knots.size() / 3; }
-    [[nodiscard]] double x(std::size_t i) const { return knots[3 * i]; }
-    [[nodiscard]] double lo(std::size_t i) const { return knots[3 * i + 1]; }
-    [[nodiscard]] double hi(std::size_t i) const { return knots[3 * i + 2]; }
-    /// Certified lower / upper value at x >= 0.
-    [[nodiscard]] double point_lo(double x) const;
+    std::vector<double> knots;  // 2 * size() doubles
+    double tail = 0.0;
+    [[nodiscard]] std::size_t size() const { return knots.size() / 2; }
+    [[nodiscard]] double x(std::size_t i) const { return knots[2 * i]; }
+    [[nodiscard]] double hi(std::size_t i) const { return knots[2 * i + 1]; }
+    /// Certified upper value at x >= 0.
     [[nodiscard]] double point_hi(double x) const;
     [[nodiscard]] std::size_t cell_of(double x) const;
   };
@@ -188,16 +178,14 @@ class CurveSegmentTree {
   void combine(const Summary* a, const Summary& self, const Summary* b,
                Summary& out);
   void compress(Summary& s);
-  // Accumulate certified bounds over subtree keys in [klo, khi].
+  // Accumulate the certified upper bound over subtree keys in [klo, khi].
   void accumulate(Handle h, double klo, double khi, double speed,
-                  const CurveFn& curve_of, double& lo, double& hi);
+                  const CurveFn& curve_of, double& hi);
   void accumulate_ge(Handle h, double klo, double speed,
-                     const CurveFn& curve_of, double& lo, double& hi);
+                     const CurveFn& curve_of, double& hi);
   void accumulate_le(Handle h, double khi, double speed,
-                     const CurveFn& curve_of, double& lo, double& hi);
-  void accumulate_subtree(Handle h, double speed, double& lo, double& hi);
-  void accumulate_exact(Handle h, double speed, const CurveFn& curve_of,
-                        double& lo, double& hi);
+                     const CurveFn& curve_of, double& hi);
+  void accumulate_subtree(Handle h, double speed, double& hi);
   [[nodiscard]] static std::uint64_t priority_of(Handle h);
 
   std::vector<Node> nodes_;  // slab indexed by store handle

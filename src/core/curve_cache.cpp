@@ -62,13 +62,13 @@ const util::PiecewiseLinear& CurveCache::validated_curve(
   return entry.curve;
 }
 
-convex::CapacityBounds CurveCache::window_capacity_bounds(
+double CurveCache::window_capacity_bound(
     const model::IntervalStore& store, int num_processors,
     model::IntervalRange window, double speed) {
   sync_recycled(store);
   tree_store_ = &store;
   tree_procs_ = num_processors;
-  return tree_.window_capacity_bounds(
+  return tree_.window_capacity_bound(
       store, window, speed,
       [this](model::IntervalStore::Handle h) -> const util::PiecewiseLinear& {
         return validated_curve(*tree_store_, tree_procs_, h);

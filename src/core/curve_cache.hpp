@@ -11,6 +11,12 @@
 // refinements need no mirroring at all: a split allocates a fresh handle
 // (fresh, unbuilt entry) for the right half and bumps the left half's epoch
 // and length, which the ordinary hit validation already catches.
+//
+// Two clients read it. PdScheduler uses both halves: curves_for feeds its
+// exact water fill, and the owned convex::CurveSegmentTree answers its
+// rejection screen with one certified upper bound on window capacity.
+// core::run_fractional_pd uses curves_for alone — it never screens, so it
+// neither queries the tree nor reports load changes to it.
 #pragma once
 
 #include <cstddef>
@@ -52,24 +58,24 @@ class CurveCache {
   // -- screening (convex::CurveSegmentTree) ---------------------------------
   //
   // The cache owns the segment tree over per-interval insertion curves and
-  // is the contract point for keeping it honest: schedulers report every
+  // is the contract point for keeping it honest: PdScheduler reports every
   // committed load change through note_load_changed, structural
   // refinements are discovered lazily from the store's handle space, and
   // tree leaves are built through the same epoch-validated entries that
   // curves_for serves (so a leaf rebuild warms the cache and vice versa).
 
-  /// Certified bounds on sum_{k in window} z_k(speed) over the store's
-  /// intervals — the screening query of the schedulers' screen. The
-  /// bounds describe the *all-loads* curves: a caller excluding a job must
+  /// Certified upper bound on sum_{k in window} z_k(speed) over the
+  /// store's intervals — the query of PdScheduler's rejection screen. The
+  /// bound describes the *all-loads* curves: a caller excluding a job must
   /// ensure that job holds no load in the window (true for any job id
-  /// never accepted before, which the schedulers track).
-  [[nodiscard]] convex::CapacityBounds window_capacity_bounds(
+  /// never accepted before, which the scheduler tracks).
+  [[nodiscard]] double window_capacity_bound(
       const model::IntervalStore& store, int num_processors,
       model::IntervalRange window, double speed);
 
   /// Reports a committed load change on interval `h` so the tree's
   /// summaries recombine before the next screening query. Must follow
-  /// every IntervalStore::set_load.
+  /// every IntervalStore::set_load of a client that screens.
   void note_load_changed(model::IntervalStore::Handle h) {
     tree_.mark_dirty(h);
   }

@@ -25,9 +25,6 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
   const model::PowerFunction power(alpha);
 
   OnlineState state;
-  // Jobs are processed once each with instance-unique ids, so the screen's
-  // all-loads bounds always describe the arriving job's exclusion view
-  // exactly.
   CurveCache cache;
   FractionalPdResult result;
   result.fraction.assign(instance.num_jobs(), 0.0);
@@ -39,39 +36,12 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
     const auto window = state.store.range(job.release, job.deadline);
     const double s_cap = rejection_speed(job.value, job.work, alpha, price);
 
-    // Certified shortcuts off the segment-tree bounds; anything
-    // inconclusive computes the capacity with the exact scan.
-    // A zero-value job has s_cap == 0 (finite): skip the screen — the
-    // tree requires a positive speed — and let the exact scan return its
-    // zero capacity as the oracle does.
-    bool full_certified = false;
-    if (std::isfinite(s_cap) && s_cap > 0.0) {
-      const convex::CapacityBounds bounds = cache.window_capacity_bounds(
-          state.store, machine.num_processors, window, s_cap);
-      if (bounds.hi <= 1e-12 * job.work) {
-        // capacity <= hi, so min(work, capacity) is below the dust
-        // threshold — the fully-unserved branch, without the scan.
-        ++result.window_prunes;
-        result.lambda[std::size_t(job.id)] = job.value;
-        continue;
-      }
-      if (bounds.lo >= job.work) {
-        // capacity >= work, so min(work, capacity) == work bitwise.
-        full_certified = true;
-        ++result.window_prunes;
-      } else {
-        ++result.window_exact;
-      }
-    } else {
-      ++result.window_exact;
-    }
-
     // Work the window absorbs below the marginal price v_j; serve up to w.
     const double capacity =
-        full_certified || !std::isfinite(s_cap)
-            ? util::kInf
-            : convex::window_capacity(state.store, machine.num_processors,
-                                      window, s_cap, job.id);
+        std::isfinite(s_cap)
+            ? convex::window_capacity(state.store, machine.num_processors,
+                                      window, s_cap, job.id)
+            : util::kInf;
     const double target = std::min(job.work, capacity);
     if (target <= 1e-12 * job.work) {
       result.lambda[std::size_t(job.id)] = job.value;
@@ -85,7 +55,6 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
     model::IntervalStore::Handle h = state.store.handle_at(window.first);
     for (std::size_t i = 0; i < window.size(); ++i) {
       state.store.set_load(h, job.id, placement->amounts[i]);
-      cache.note_load_changed(h);
       h = state.store.next_handle(h);
     }
     result.fraction[std::size_t(job.id)] = target / job.work;

@@ -22,6 +22,10 @@
 // quantifies it. The dual certificate applies unchanged: lambda_j = v_j
 // for every partially served job, so g(lambda~) still lower-bounds the
 // relaxed optimum (in the fractional-value cost model this targets).
+//
+// The engine shares PdScheduler's state (core::OnlineState) and insertion
+// curves (core::CurveCache) but not its screen: every arrival scans its
+// window exactly, as the reference oracle does.
 #pragma once
 
 #include <optional>
@@ -43,8 +47,6 @@ struct FractionalPdResult {
   double energy = 0.0;
   double lost_value = 0.0;       // sum over jobs of (1 - f_j) * v_j
   double dual_lower_bound = 0.0; // g(lambda) — bound on the relaxed optimum
-  long long window_prunes = 0;   // decisions certified by the segment tree
-  long long window_exact = 0;    // screened arrivals that scanned exactly
 
   [[nodiscard]] double total_cost() const { return energy + lost_value; }
 };
@@ -53,14 +55,14 @@ struct FractionalPdResult {
 /// pricing parameter; nullopt selects delta = 1 (true marginal-cost
 /// pricing — see the header comment for why this differs from PD).
 ///
-/// PdScheduler's certified screen runs first, and every result stays
-/// bitwise identical to the test-only reference oracle: a window whose
-/// convex::CurveSegmentTree upper capacity bound is below the dust
-/// threshold is fully unserved without scanning it, and one whose lower
-/// bound covers the whole workload is fully served with target = work
-/// without computing the exact capacity; partial service (the inconclusive
-/// band) takes the exact scan. Every served job is placed by the one exact
-/// water fill over the CurveCache insertion curves.
+/// Every arrival takes the test-only reference oracle's path, in the same
+/// arithmetic order, so every result stays bitwise identical to it: the
+/// exact convex::window_capacity scan at the price speed, then — unless
+/// the served target is below the dust threshold — the one exact water
+/// fill over the CurveCache insertion curves. There is no screen: this is
+/// an offline batch extension, and its full-service shortcut would need a
+/// certified *lower* capacity bound that the segment tree, kept one-sided
+/// for PdScheduler's rejection screen, does not maintain.
 [[nodiscard]] FractionalPdResult run_fractional_pd(
     const model::Instance& instance, std::optional<double> delta = {});
 

@@ -99,19 +99,19 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   const auto window = state_.store.range(job.release, job.deadline);
   const double s_reject = rejection_speed(job.value, job.work, alpha, delta_);
 
-  // Screen: certified capacity bounds from the segment tree. A certified
-  // rejection skips the O(window) scan entirely; anything inconclusive (or
-  // a re-arriving accepted id, whose committed loads the all-loads bounds
-  // cannot exclude) falls through to the exact water fill below, so the
-  // decision stream is bitwise that of the unscreened oracle.
+  // Screen: a certified capacity upper bound from the segment tree. A
+  // certified rejection skips the O(window) scan entirely; anything
+  // inconclusive (or a re-arriving accepted id, whose committed loads the
+  // all-loads bound cannot exclude) falls through to the exact water fill
+  // below, so the decision stream is bitwise that of the unscreened oracle.
   // s_reject > 0 also keeps a zero-value job (s_reject == 0, finite) off
   // the screen, preserving the exact path's behavior for it verbatim.
   bool screened_reject = false;
   if (std::isfinite(s_reject) && s_reject > 0.0 &&
       accepted_ids_.find(job.id) == accepted_ids_.end()) {
-    const convex::CapacityBounds bounds = cache_.window_capacity_bounds(
+    const double capacity_hi = cache_.window_capacity_bound(
         state_.store, machine_.num_processors, window, s_reject);
-    if (bounds.hi < job.work) {
+    if (capacity_hi < job.work) {
       screened_reject = true;
       ++counters_.window_prunes;
     } else {

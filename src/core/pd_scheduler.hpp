@@ -151,8 +151,8 @@ struct ArrivalDecision {
 ///
 /// One engine: the online state lives in the stable-handle
 /// model::IntervalStore (O(log n) Section-3 refinements). An arrival is
-/// first checked against the convex::CurveSegmentTree capacity bounds (the
-/// screen): a rejection the bounds certify costs O(log n · log knots)
+/// first checked against the convex::CurveSegmentTree capacity upper bound
+/// (the screen): a rejection the bound certifies costs O(log n · log knots)
 /// instead of O(window). Every other arrival is decided by the one exact
 /// water fill over the CurveCache insertion curves (LazyLinearSum view),
 /// and an accept writes its per-interval loads. The screen only skips work
@@ -244,7 +244,7 @@ class PdScheduler {
   OnlineState state_;
   CurveCache cache_;
   // Job ids this scheduler has accepted, with the latest deadline seen.
-  // The segment tree bounds describe the all-loads
+  // The segment tree's bound describes the all-loads
   // curves, so the screen is valid only for a job with no committed load
   // in the window; a re-arriving accepted id skips the screen and takes
   // the exact re-placement path. Compaction erases records whose deadline

@@ -242,6 +242,9 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
   const std::uint64_t ni = read_count(is);
   PSS_REQUIRE(ni == s.state_.num_intervals(),
               "corrupt checkpoint: interval count");
+  // Each load list is canonical — one nonzero entry per job — so every
+  // entry must grow the (freshly empty) interval's list by one: a repeated
+  // job would overwrite its first load and a zero would write nothing.
   auto h = s.state_.store.front_handle();
   for (std::uint64_t k = 0; k < ni; ++k, h = s.state_.store.next_handle(h)) {
     const std::uint64_t nl = read_count(is);
@@ -249,14 +252,21 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
       const auto job = static_cast<model::JobId>(read_i64(is));
       const double amount = read_f64(is);
       s.state_.store.set_load(h, job, amount);
+      PSS_REQUIRE(s.state_.store.loads(h).size() == j + 1,
+                  "corrupt checkpoint: repeated or zero load");
     }
   }
   s.state_.interval_splits = splits;
   s.state_.horizon_extensions = extensions;
 
+  // Accepted-id records were written in strictly ascending id order.
   const std::uint64_t na = read_count(is);
+  model::JobId prev_id = 0;
   for (std::uint64_t i = 0; i < na; ++i) {
     const auto id = static_cast<model::JobId>(read_i64(is));
+    PSS_REQUIRE(i == 0 || id > prev_id,
+                "corrupt checkpoint: accepted ids out of order");
+    prev_id = id;
     s.accepted_ids_[id] = read_f64(is);
   }
 

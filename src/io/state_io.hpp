@@ -11,7 +11,7 @@
 // Derived state is deliberately NOT serialized: cached insertion curves
 // and segment-tree summaries rebuild cold on first touch through the same
 // epoch-validated code path a live run uses, so a restore can only change
-// hit/prune *counters*, never a decision (the certified screens fall back
+// hit/prune *counters*, never a decision (the certified screen falls back
 // to exact arithmetic whenever a certificate is missing).
 //
 // Wire format: little-endian fixed-width scalars, no padding, no varints.

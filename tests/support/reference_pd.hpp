@@ -1,13 +1,14 @@
 // Test-only reference oracle for the online PD schedulers.
 //
 // The production engines (core::PdScheduler and core::run_fractional_pd)
-// keep their state in model::IntervalStore, place arrivals through the
-// core::CurveCache insertion curves and the lazy-sum water fill, and take
-// one certified shortcut (the segment-tree screen). This
-// oracle is the root reference they are held against bit for bit: the
-// contiguous TimePartition + WorkAssignment refinement of Section 3 and the
-// stateless convex::water_fill / convex::window_capacity scans, which
-// rebuild every insertion curve of the window on every arrival. It is slow
+// keep their state in model::IntervalStore and place arrivals through the
+// core::CurveCache insertion curves and the lazy-sum water fill.
+// PdScheduler also takes one certified shortcut (the segment-tree
+// rejection screen); fractional PD takes none. This oracle is the root
+// reference both are held against bit for bit: the contiguous
+// TimePartition + WorkAssignment refinement of Section 3 and the stateless
+// convex::water_fill / convex::window_capacity scans, which rebuild every
+// insertion curve of the window on every arrival. It is slow
 // on purpose, has no options beyond delta, and is never linked into the
 // library — it builds as the pss_reference library for the test suites and
 // the bench drivers' in-driver guards.

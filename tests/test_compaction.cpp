@@ -5,7 +5,8 @@
 //   * a checkpoint written mid-soak (with retired energy and accepted-id
 //     records in flight) restores into a fresh scheduler that replays the remaining traffic bitwise
 //     identically — and re-serializes to the identical bytes, while a blob
-//     with a non-finite clock, retired energy or load is refused;
+//     with a non-finite clock, retired energy or load, a repeated or zero
+//     load, or unsorted accepted-id records is refused;
 //   * steady-state serving with per-tick compaction holds O(live window)
 //     structure while the uncompacted twin grows linearly;
 //   * a million idle advances are structure-free: no boundary, no slab
@@ -596,6 +597,65 @@ TEST(Checkpoint, RefusesNonFiniteEnergyClockAndLoads) {
   std::istringstream is(patched(kRetiredEnergyAt, 0.5), std::ios::binary);
   io::load_scheduler(is, target);
   EXPECT_EQ(target.retired_energy(), 0.5);
+}
+
+// A session blob is canonical: save_scheduler writes each interval's load
+// list with one nonzero entry per job (the store never holds a zero) and
+// the accepted-id records in strictly ascending id order. A blob that
+// names one job twice in an interval would make IntervalStore::set_load
+// overwrite the first entry and silently drop a load, so every
+// non-canonical list is refused.
+TEST(Checkpoint, RefusesDuplicateLoadsAndUnsortedAcceptedIds) {
+  PdScheduler source(kMachine, {});
+  ASSERT_TRUE(source.on_arrival({0, 0.0, 3.0, 1.5, util::kInf}).accepted);
+  ASSERT_TRUE(source.on_arrival({1, 0.0, 4.0, 1.0, util::kInf}).accepted);
+  const std::string blob = serialize(source);
+  const auto bytes = [](std::int64_t id, double v) {
+    std::ostringstream os(std::ios::binary);
+    io::write_i64(os, id);
+    io::write_f64(os, v);
+    return os.str();
+  };
+  // Finds a byte pattern that occurs exactly once in the blob.
+  const auto unique_at = [&](const std::string& pattern) {
+    const std::size_t at = blob.find(pattern);
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_EQ(at, blob.rfind(pattern));
+    return at;
+  };
+  const auto patched = [&](const std::string& from, const std::string& to) {
+    std::string corrupt = blob;
+    corrupt.replace(unique_at(from), from.size(), to);
+    return corrupt;
+  };
+  // Interval [0, 3) holds both jobs' loads, job 0's first.
+  const auto& loads = source.assignment().loads(0);
+  ASSERT_EQ(loads.size(), 2u);
+  const std::string load0 = bytes(0, loads[0].amount);
+  const std::string load1 = bytes(1, loads[1].amount);
+  // Accepted-id records: (id, latest deadline), ascending.
+  const std::string accepted0 = bytes(0, 3.0);
+  const std::string accepted1 = bytes(1, 4.0);
+  const std::vector<std::pair<const char*, std::string>> corruptions = {
+      {"job 1's load renamed to job 0",
+       patched(load0 + load1, load0 + bytes(0, loads[1].amount))},
+      {"zero load", patched(load1, bytes(1, 0.0))},
+      {"accepted ids swapped",
+       patched(accepted0 + accepted1, accepted1 + accepted0)},
+      {"accepted id repeated",
+       patched(accepted0 + accepted1, accepted0 + bytes(0, 4.0))}};
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  for (const auto& [what, corrupt] : corruptions) {
+    PdScheduler target(kMachine, {});
+    std::istringstream is(corrupt, std::ios::binary);
+    EXPECT_THROW(io::load_scheduler(is, target), std::invalid_argument)
+        << what;
+  }
+  // The canonical blob still loads.
+  PdScheduler target(kMachine, {});
+  std::istringstream is(blob, std::ios::binary);
+  io::load_scheduler(is, target);
+  EXPECT_EQ(serialize(target), blob);
 }
 
 TEST(Checkpoint, FreshSchedulerRoundTrips) {

@@ -11,9 +11,9 @@
 // util::LazyLinearSum and model::IntervalStore), so the comparisons here
 // are exact, not NEAR — any reordering of floating-point work in a future
 // change will show up as a hard failure, which is the point. Fractional PD
-// is held to its oracle the same way. The families that exist to exercise
-// the screen also assert that it fired, so a screen that silently stopped
-// engaging cannot pass as "identical".
+// (which does not screen) is held to its oracle the same way. The families
+// that exist to exercise the screen also assert that it fired, so a screen
+// that silently stopped engaging cannot pass as "identical".
 //
 // Coverage: ~1k seeded instances across uniform, bursty (Poisson heavy
 // tail), tight-laxity, and the adversarial Theorem-3 stream, for
@@ -23,7 +23,8 @@
 // the screen fires, and an accept-heavy long-horizon family where pruned
 // rejections are rare. Random mutation tortures (OracleTorture) interleave
 // tick accepts, wide overlaps, off-grid splits, rejections, advance_to and
-// session recycling, comparing the materialized state at every snapshot. A
+// session recycling, comparing the materialized state at every snapshot;
+// one more pins fractional PD's underflowed-price edge case. A
 // canary feeds the harness a one-ulp-wrong oracle to prove the harness
 // compares something.
 #include <gtest/gtest-spi.h>
@@ -101,19 +102,16 @@ core::PdCounters expect_engine_identical(const model::Instance& instance) {
                                  reference::ReferencePd(instance.machine()));
 }
 
-// Fractional PD against its oracle; returns the engine's result so callers
-// can assert whether the screen engaged.
-core::FractionalPdResult expect_fractional_identical(
-    const model::Instance& instance) {
+// Fractional PD against its oracle.
+void expect_fractional_identical(const model::Instance& instance) {
   const auto oracle = reference::run_fractional_pd(instance);
-  auto engine = core::run_fractional_pd(instance);
+  const auto engine = core::run_fractional_pd(instance);
   EXPECT_EQ(oracle.fraction, engine.fraction);
   EXPECT_EQ(oracle.lambda, engine.lambda);
   EXPECT_EQ(oracle.energy, engine.energy);
   EXPECT_EQ(oracle.lost_value, engine.lost_value);
   EXPECT_EQ(oracle.dual_lower_bound, engine.dual_lower_bound);
   EXPECT_EQ(oracle.partition.boundaries(), engine.partition.boundaries());
-  return engine;
 }
 
 constexpr int kSeedsPerFamily = 25;
@@ -280,7 +278,7 @@ TEST_P(PdDifferential, WideWindowInstances) {
     // The screen must have certified rejections on this family — not
     // merely run (window_exact counts fallbacks, so prunes is the signal).
     EXPECT_GT(counters.window_prunes, 0);
-    EXPECT_GT(expect_fractional_identical(inst).window_prunes, 0);
+    expect_fractional_identical(inst);
   }
 }
 
@@ -353,6 +351,29 @@ TEST_P(PdDifferential, AcceptHeavyLongHorizonInstances) {
   }
 }
 
+// Mixed-value family for fractional PD: an unbounded-value umbrella, then
+// short and wide windows whose values span six decades around the
+// energy-fair value — hopeless (fully unserved), contested (partially
+// served) and certain (fully served) arrivals in one stream.
+model::Instance mixed_value_instance(int num_jobs, Machine machine,
+                                     std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<model::Job> jobs;
+  jobs.push_back(
+      {0, 0.0, 64.0, 2.0, std::numeric_limits<double>::infinity()});
+  double t = 0.0;
+  for (int i = 1; i <= num_jobs; ++i) {
+    t += rng.uniform(0.2, 1.5);
+    const double span = rng.bernoulli(0.3) ? rng.uniform(20.0, 60.0)
+                                           : rng.uniform(0.5, 4.0);
+    model::Job job{i, t, t + span, rng.uniform(0.3, 3.0), 0.0};
+    job.value = workload::energy_fair_value(job, machine.alpha) *
+                std::pow(10.0, rng.uniform(-3.0, 3.0));
+    jobs.push_back(job);
+  }
+  return model::make_instance(machine, std::move(jobs));
+}
+
 TEST_P(PdDifferential, FractionalBackendsIdentical) {
   const DiffParam param = GetParam();
   for (int seed = 0; seed < 5; ++seed) {
@@ -368,6 +389,8 @@ TEST_P(PdDifferential, FractionalBackendsIdentical) {
       bisection_instance(100, Machine{param.m, param.alpha}, 9100));
   expect_fractional_identical(
       lookahead_instance(120, Machine{param.m, param.alpha}, 9200));
+  expect_fractional_identical(
+      mixed_value_instance(30, Machine{param.m, param.alpha}, 9300));
 }
 
 // Non-vacuity canary: an oracle whose delta is one ulp off the engine's
@@ -578,6 +601,28 @@ TEST(OracleTorture, RecycledSchedulerMatchesFresh) {
   expect_assignment_equal(recycled.assignment(), fresh.assignment(),
                           "recycled");
   ASSERT_EQ(recycled.planned_energy(), fresh.planned_energy());
+}
+
+// A rejection speed can be *finite yet exactly zero*: instances require
+// value > 0, but s_cap = (v/(delta*alpha*w))^(1/(alpha-1)) underflows to
+// 0.0 for a legal tiny value once the exponent is large (alpha near 1).
+// Fractional PD must take that price to the exact capacity scan and
+// reproduce the oracle's graceful fully-unserved branch, not throw.
+TEST(OracleTorture, FractionalUnderflowedRejectionSpeed) {
+  const Machine machine{2, 1.1};  // exponent 1/(alpha-1) = 10
+  std::vector<model::Job> jobs = {
+      {0, 0.0, 8.0, 2.0, std::numeric_limits<double>::infinity()},
+      {1, 1.0, 6.0, 1.0, 1e-300},  // s_cap = (~1e-300)^10 -> 0.0
+  };
+  const auto instance = model::make_instance(machine, std::move(jobs));
+  ASSERT_EQ(core::rejection_speed(1e-300, 1.0, machine.alpha,
+                                  core::optimal_delta(machine.alpha)),
+            0.0);
+  const auto oracle = reference::run_fractional_pd(instance);
+  const auto engine = core::run_fractional_pd(instance);
+  ASSERT_EQ(oracle.fraction, engine.fraction);
+  ASSERT_EQ(oracle.lambda, engine.lambda);
+  EXPECT_EQ(engine.fraction[1], 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -173,7 +173,7 @@ TEST(SessionTable, RecycledSchedulerStartsClean) {
   EXPECT_EQ(again->counters.arrivals, (long long)jobs.size());
 }
 
-TEST(SessionTable, RecycledSessionReplaysNoStaleLazyLevels) {
+TEST(SessionTable, RecycledSessionReplaysLikeFresh) {
   // Pure tick streams: nearly every arrival is accepted into a
   // one-interval window. A recycled session serving a second stream over
   // the *same* time range must not replay the first stream's committed
@@ -273,7 +273,7 @@ TEST(StreamEngine, ShardCountInvarianceBitwise1_4_16) {
 // On accept-heavy tick streams, any shard count produces bitwise-identical
 // per-stream decisions, and every stream is bitwise identical to the
 // test-only reference oracle fed the same jobs.
-TEST(StreamEngine, ShardCountInvarianceHoldsWithLazyLevels) {
+TEST(StreamEngine, ShardCountInvarianceOnTickStreams) {
   auto config = small_config(24, 32);
   config.jobs_per_tick = 1.0;  // tick streams: accept-heavy
   config.min_span = 1;
