@@ -5,8 +5,7 @@
 // (PdScheduler::advance_to(t, /*compact=*/true)) and per-arrival decision
 // capture off. Structural memory is tracked through its exact proxies —
 // the interval store's handle space (slab slots ever allocated, which also
-// sizes the handle-keyed curve cache and segment tree) and the live
-// interval count.
+// sizes the handle-keyed curve cache) and the live interval count.
 //
 // In-driver guards (exit nonzero on violation):
 //   * flat memory with compaction: after warm-up, the slab stops growing —

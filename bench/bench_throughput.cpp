@@ -81,8 +81,8 @@ struct RunResult {
 };
 
 // The two columns the JSON tracks: the stateless contiguous oracle and the
-// production engine ("indexed": interval store + curve cache, with the
-// always-on screen).
+// production engine ("indexed": interval store + curve cache, one exact
+// water fill per arrival).
 constexpr const char* kOracle = "oracle";
 constexpr const char* kEngine = "indexed";
 

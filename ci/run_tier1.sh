@@ -111,16 +111,6 @@ PSS_HORIZON_MAX_INTERVALS=16384 PSS_HORIZON_CONTIG_MAX=16384 \
 check_guards bench_results/BENCH_horizon.json determinism_match sublinear_refinement
 echo "horizon-smoke: OK (${BUILD_DIR}/bench_results/BENCH_horizon.json)"
 
-# Window-scale smoke: small widths through the segment-tree screen. The
-# driver exits nonzero if the engine ever disagrees with the reference
-# oracle, if the screen never certifies a rejection, or if the engine's
-# probe cost fails the sub-linearity check.
-PSS_WINDOW_MAX_WIDTH=4096 PSS_WINDOW_ORACLE_MAX=4096 PSS_WINDOW_PROBES=48 \
-  PSS_RESULT_DIR=bench_results \
-  ./bench_window_scale --benchmark_filter=NONE_ > /dev/null
-check_guards bench_results/BENCH_window.json determinism_match screen_engaged sublinear_window
-echo "window-smoke: OK (${BUILD_DIR}/bench_results/BENCH_window.json)"
-
 # Soak smoke: short steady-state serving run with per-tick horizon
 # compaction. The driver exits nonzero if compacted memory is not flat
 # after warm-up, if the uncompacted twin fails to show the linear growth
@@ -186,15 +176,14 @@ echo "benchmark-checks: OK (every perfbench workload passed its output checks)"
 # where a stale pointer or uninitialised read hides from a plain build.
 # Build a second tree with ASan+UBSan and run the suites that exercise
 # prefix compaction, checkpoint/restore and the stream engine end to end,
-# plus the oracle differential suite, which drives the engine (segment-tree
-# screen, curve cache, exact water fill, random mutation tortures) hardest,
-# the screen suite: tree maintenance runs on every arrival, the ingest
+# plus the oracle differential suite, which drives the engine (curve
+# cache, exact water fill, random mutation tortures) hardest, the ingest
 # suite: op-log frame decoding and the spill/restore byte paths, and the
 # fractional suite: fractional PD runs the exact window_capacity scan on
 # every arrival.
 cd "${ROOT}"
 SAN_DIR="${BUILD_DIR}-asan"
-SAN_SUITES="test_compaction test_stream test_interval_store test_recovery test_differential test_window test_ingest test_fractional"
+SAN_SUITES="test_compaction test_stream test_interval_store test_recovery test_differential test_ingest test_fractional"
 rm -rf "${SAN_DIR}"
 cmake -B "${SAN_DIR}" -S . -DPSS_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug > /dev/null
 cmake --build "${SAN_DIR}" -j --target ${SAN_SUITES}

@@ -24,8 +24,8 @@
 // relaxed optimum (in the fractional-value cost model this targets).
 //
 // The engine shares PdScheduler's state (core::OnlineState) and insertion
-// curves (core::CurveCache) but not its screen: every arrival scans its
-// window exactly, as the reference oracle does.
+// curves (core::CurveCache); every arrival scans its window exactly, as the
+// reference oracle does.
 #pragma once
 
 #include <optional>
@@ -59,10 +59,7 @@ struct FractionalPdResult {
 /// arithmetic order, so every result stays bitwise identical to it: the
 /// exact convex::window_capacity scan at the price speed, then — unless
 /// the served target is below the dust threshold — the one exact water
-/// fill over the CurveCache insertion curves. There is no screen: this is
-/// an offline batch extension, and its full-service shortcut would need a
-/// certified *lower* capacity bound that the segment tree, kept one-sided
-/// for PdScheduler's rejection screen, does not maintain.
+/// fill over the CurveCache insertion curves.
 [[nodiscard]] FractionalPdResult run_fractional_pd(
     const model::Instance& instance, std::optional<double> delta = {});
 

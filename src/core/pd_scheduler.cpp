@@ -54,24 +54,14 @@ void PdScheduler::compact_before(double frontier) {
   freed_scratch_.clear();
   const std::size_t retired = store.compact_before(frontier, freed_scratch_);
   if (retired == 0) return;
-  cache_.on_compacted(store, freed_scratch_);
+  cache_.on_compacted(freed_scratch_);
   ++counters_.compactions;
   counters_.compacted_intervals += static_cast<long long>(retired);
-  // An accepted id whose whole window is behind the frontier holds no load
-  // in any live interval, so the all-loads screen is valid for it again;
-  // dropping the record bounds the map by the live window.
-  for (auto it = accepted_ids_.begin(); it != accepted_ids_.end();) {
-    if (it->second <= frontier)
-      it = accepted_ids_.erase(it);
-    else
-      ++it;
-  }
 }
 
 void PdScheduler::reset() {
   state_ = OnlineState{};
   cache_.reset();
-  accepted_ids_.clear();
   decisions_.clear();
   freed_scratch_.clear();
   counters_ = PdCounters{};
@@ -99,57 +89,26 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   const auto window = state_.store.range(job.release, job.deadline);
   const double s_reject = rejection_speed(job.value, job.work, alpha, delta_);
 
-  // Screen: a certified capacity upper bound from the segment tree. A
-  // certified rejection skips the O(window) scan entirely; anything
-  // inconclusive (or a re-arriving accepted id, whose committed loads the
-  // all-loads bound cannot exclude) falls through to the exact water fill
-  // below, so the decision stream is bitwise that of the unscreened oracle.
-  // s_reject > 0 also keeps a zero-value job (s_reject == 0, finite) off
-  // the screen, preserving the exact path's behavior for it verbatim.
-  bool screened_reject = false;
-  if (std::isfinite(s_reject) && s_reject > 0.0 &&
-      accepted_ids_.find(job.id) == accepted_ids_.end()) {
-    const double capacity_hi = cache_.window_capacity_bound(
-        state_.store, machine_.num_processors, window, s_reject);
-    if (capacity_hi < job.work) {
-      screened_reject = true;
-      ++counters_.window_prunes;
-    } else {
-      ++counters_.window_exact;
-    }
-  } else {
-    ++counters_.window_exact;
-  }
-
-  // Unless the screen certified the rejection, the exact water fill
-  // decides and commits.
-  std::optional<double> accepted_speed;
-  if (!screened_reject) {
-    const auto curves = cache_.curves_for(
-        state_.store, machine_.num_processors, window, job.id);
-    const auto placement =
-        convex::water_fill_over_curves(curves, job.work, s_reject);
-    if (placement.has_value()) {
-      accepted_speed = placement->speed;
-      model::IntervalStore::Handle h = state_.store.handle_at(window.first);
-      for (std::size_t i = 0; i < window.size(); ++i) {
-        state_.store.set_load(h, job.id, placement->amounts[i]);
-        cache_.note_load_changed(h);
-        h = state_.store.next_handle(h);
-      }
-    }
-  }
+  // The one exact water fill over the window's insertion curves decides;
+  // an accept commits one load per window interval.
+  const auto curves = cache_.curves_for(state_.store, machine_.num_processors,
+                                        window, job.id);
+  const auto placement =
+      convex::water_fill_over_curves(curves, job.work, s_reject);
 
   ArrivalDecision decision;
-  if (accepted_speed.has_value()) {
+  if (placement.has_value()) {
+    model::IntervalStore::Handle h = state_.store.handle_at(window.first);
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      state_.store.set_load(h, job.id, placement->amounts[i]);
+      h = state_.store.next_handle(h);
+    }
     // Line 11(a): full workload placed at uniform own-speed s*.
     decision.accepted = true;
-    decision.speed = *accepted_speed;
-    decision.lambda = delta_ * job.work * power.derivative(*accepted_speed);
+    decision.speed = placement->speed;
+    decision.lambda = delta_ * job.work * power.derivative(placement->speed);
     decision.planned_energy =
-        job.work * util::pos_pow(*accepted_speed, alpha - 1.0);
-    double& dl = accepted_ids_[job.id];
-    dl = std::max(dl, job.deadline);
+        job.work * util::pos_pow(placement->speed, alpha - 1.0);
   } else {
     // Line 12(b): the marginal hit v_j first; nothing is committed and
     // lambda = v.

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <iosfwd>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/curve_cache.hpp"
@@ -63,9 +62,11 @@ struct PdCounters {
   long long horizon_extensions = 0;  // boundaries outside the known horizon
   long long curve_cache_hits = 0;      // curves served without rebuilding
   long long curve_cache_rebuilds = 0;  // curves (re)built from loads
-  long long window_prunes = 0;   // rejections certified by the segment tree
-  long long window_exact = 0;    // arrivals the screen left to the exact path
-  long long lazy_fast_path = 0;  // always 0; perfbench still reads it
+  // Always 0: the paths they counted (the rejection screen and the lazy
+  // route) are deleted, but perfbench still reads these three fields.
+  long long window_prunes = 0;
+  long long window_exact = 0;
+  long long lazy_fast_path = 0;
   long long compactions = 0;           // advance_to passes that retired work
   long long compacted_intervals = 0;   // intervals retired behind the frontier
   std::size_t max_intervals = 0;     // partition size high-water mark
@@ -150,15 +151,13 @@ struct ArrivalDecision {
 /// assignment (Section 3).
 ///
 /// One engine: the online state lives in the stable-handle
-/// model::IntervalStore (O(log n) Section-3 refinements). An arrival is
-/// first checked against the convex::CurveSegmentTree capacity upper bound
-/// (the screen): a rejection the bound certifies costs O(log n · log knots)
-/// instead of O(window). Every other arrival is decided by the one exact
-/// water fill over the CurveCache insertion curves (LazyLinearSum view),
-/// and an accept writes its per-interval loads. The screen only skips work
-/// whose outcome it can prove, so the decision stream is bitwise identical
-/// to the stateless contiguous reference in tests/support/reference_pd, the
-/// test-only oracle every differential suite compares against.
+/// model::IntervalStore (O(log n) Section-3 refinements). Every arrival is
+/// decided by the one exact water fill over the CurveCache insertion curves
+/// (LazyLinearSum view), and an accept writes its per-interval loads. An
+/// accept costs O(window) by nature, and so does a rejection; the decision
+/// stream is bitwise identical to the stateless contiguous reference in
+/// tests/support/reference_pd, the test-only oracle every differential
+/// suite compares against.
 class PdScheduler {
  public:
   PdScheduler(model::Machine machine, PdOptions options = {});
@@ -171,7 +170,7 @@ class PdScheduler {
   /// a periodic heartbeat leaves the partition exactly as arrivals built
   /// it. With compact = true, additionally retires every interval ending
   /// at or before the frontier t - util::clock_tol(t): the retired prefix's
-  /// energy moves into retired_energy(), its store/cache/tree state is
+  /// energy moves into retired_energy(), its store/cache state is
   /// reclaimed, and — because any future arrival has release within
   /// clock_tol of t or later — every subsequent decision is bitwise
   /// identical to the uncompacted run (tests/test_compaction.cpp).
@@ -233,9 +232,7 @@ class PdScheduler {
   friend void io::load_scheduler(std::istream&, core::PdScheduler&);
 
   /// Retires every interval ending at or before `frontier`: accumulates
-  /// their energy, reclaims store/cache/tree state, and drops accepted-id
-  /// records whose whole window is behind the frontier (their loads cannot
-  /// appear in any live window, so the screen is valid for them again).
+  /// their energy and reclaims store/cache state.
   void compact_before(double frontier);
 
   model::Machine machine_;
@@ -243,13 +240,6 @@ class PdScheduler {
   bool record_decisions_;
   OnlineState state_;
   CurveCache cache_;
-  // Job ids this scheduler has accepted, with the latest deadline seen.
-  // The segment tree's bound describes the all-loads
-  // curves, so the screen is valid only for a job with no committed load
-  // in the window; a re-arriving accepted id skips the screen and takes
-  // the exact re-placement path. Compaction erases records whose deadline
-  // is behind the frontier, bounding the map by the live window.
-  std::unordered_map<model::JobId, double> accepted_ids_;
   // Snapshot buffers backing the partition()/assignment() accessors (cold
   // path; see the accessor comment).
   mutable model::TimePartition partition_snapshot_;

@@ -193,16 +193,6 @@ void save_scheduler(std::ostream& os, const core::PdScheduler& s) {
        h = store.next_handle(h))
     save_loads(os, store.loads(h));
 
-  // Accepted-id records in ascending id order (deterministic bytes).
-  std::vector<std::pair<model::JobId, double>> accepted(
-      s.accepted_ids_.begin(), s.accepted_ids_.end());
-  std::sort(accepted.begin(), accepted.end());
-  write_u64(os, accepted.size());
-  for (const auto& [id, deadline] : accepted) {
-    write_i64(os, id);
-    write_f64(os, deadline);
-  }
-
   save_decisions(os, s.decisions_);
 
   save_counters(os, s.counters_);
@@ -259,19 +249,26 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
   s.state_.interval_splits = splits;
   s.state_.horizon_extensions = extensions;
 
-  // Accepted-id records were written in strictly ascending id order.
-  const std::uint64_t na = read_count(is);
-  model::JobId prev_id = 0;
-  for (std::uint64_t i = 0; i < na; ++i) {
-    const auto id = static_cast<model::JobId>(read_i64(is));
-    PSS_REQUIRE(i == 0 || id > prev_id,
-                "corrupt checkpoint: accepted ids out of order");
-    prev_id = id;
-    s.accepted_ids_[id] = read_f64(is);
-  }
-
   load_decisions(is, s.decisions_);
   load_counters(is, s.counters_);
+
+  // Every arrival is exactly one accept or one reject, and a recorded
+  // decision log holds one entry per arrival; a blob that contradicts
+  // itself would otherwise restore a session whose tallies lie.
+  const core::PdCounters& c = s.counters_;
+  PSS_REQUIRE(c.accepted >= 0 && c.rejected >= 0 &&
+                  c.accepted <= c.arrivals &&
+                  c.rejected == c.arrivals - c.accepted,
+              "corrupt checkpoint: arrival tallies");
+  if (s.record_decisions_) {
+    PSS_REQUIRE(s.decisions_.size() == static_cast<std::size_t>(c.arrivals),
+                "corrupt checkpoint: decision log length");
+    const auto accepted = std::count_if(
+        s.decisions_.begin(), s.decisions_.end(),
+        [](const auto& entry) { return entry.second.accepted; });
+    PSS_REQUIRE(accepted == c.accepted,
+                "corrupt checkpoint: decision log accepts");
+  }
 }
 
 }  // namespace pss::io

@@ -2,17 +2,16 @@
 //
 // A steady-state serving process (src/stream) runs for days; restarting it
 // must not replay days of traffic. This module serializes the *semantic*
-// state of a PD session — partition boundaries, committed loads,
-// accepted-id records, counters, the monotonicity clock and the
-// retired-energy accumulator — and restores it into a
+// state of a PD session — partition boundaries, committed loads, the
+// decision log, counters, the monotonicity clock and the retired-energy
+// accumulator — and restores it into a
 // freshly-constructed scheduler so that every subsequent decision and
 // energy is bitwise identical to the uninterrupted run.
 //
 // Derived state is deliberately NOT serialized: cached insertion curves
-// and segment-tree summaries rebuild cold on first touch through the same
-// epoch-validated code path a live run uses, so a restore can only change
-// hit/prune *counters*, never a decision (the certified screen falls back
-// to exact arithmetic whenever a certificate is missing).
+// rebuild cold on first touch through the same epoch-validated code path a
+// live run uses, so a restore can only change cache hit *counters*, never
+// a decision.
 //
 // Wire format: little-endian fixed-width scalars, no padding, no varints.
 //   u8/u64/i64  — unsigned / two's-complement integers
@@ -89,7 +88,10 @@ void save_scheduler(std::ostream& os, const core::PdScheduler& s);
 /// been constructed with the same machine, delta and record_decisions
 /// flag (checked; throws std::invalid_argument on mismatch, a truncated
 /// stream, a non-finite clock, a non-finite or negative retired energy,
-/// or a non-finite load). Any prior state of `s` is discarded.
+/// a non-finite, repeated or zero load, accepted + rejected counters that
+/// do not sum to arrivals, or — with record_decisions on — a decision log
+/// whose length or accept count disagrees with those counters). Any prior
+/// state of `s` is discarded.
 void load_scheduler(std::istream& is, core::PdScheduler& s);
 
 }  // namespace pss::io

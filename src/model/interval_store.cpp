@@ -10,7 +10,6 @@ namespace pss::model {
 void IntervalStore::clear() {
   index_.clear();
   payload_.clear();
-  recycled_log_.clear();
   end_ = 0.0;
   lone_boundary_.reset();
 }
@@ -21,7 +20,6 @@ void IntervalStore::adopt_payload(Handle h) {
     // the epoch keeps advancing so no cache entry from a previous tenant
     // can ever validate against the new one.
     ++payload_[h].epoch;
-    recycled_log_.push_back(h);
   } else {
     payload_.emplace_back();
   }

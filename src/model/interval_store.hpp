@@ -77,18 +77,6 @@ class IntervalStore {
   /// Returns the number of intervals retired.
   std::size_t compact_before(double frontier, std::vector<Handle>& freed);
 
-  /// True iff `h` addresses a live (non-retired) interval.
-  [[nodiscard]] bool is_live(Handle h) const { return index_.is_live(h); }
-
-  /// Handles recycled by refinements since the last clear_recycled_births()
-  /// — the birth log slab-keyed caches replay to learn that an id they
-  /// once absorbed now names a brand-new interval. Empty until the first
-  /// compaction ever frees a handle.
-  [[nodiscard]] const std::vector<Handle>& recycled_births() const {
-    return recycled_log_;
-  }
-  void clear_recycled_births() { recycled_log_.clear(); }
-
   // -- partition queries (positions, contiguous-compatible semantics) ------
   [[nodiscard]] std::size_t num_intervals() const { return index_.size(); }
   [[nodiscard]] std::size_t num_boundaries() const {
@@ -161,12 +149,11 @@ class IntervalStore {
   };
 
   /// Claims the payload slot for a node id just handed out by index_ —
-  /// either a fresh slab slot or a recycled one (logged for cache replay).
+  /// either a fresh slab slot or a recycled one.
   void adopt_payload(Handle h);
 
   util::OrderIndex index_;        // keys = interval start times; ids = handles
   std::vector<Payload> payload_;  // indexed by handle
-  std::vector<Handle> recycled_log_;  // handles reborn since last cache replay
   double end_ = 0.0;              // end of the last interval (back boundary)
   std::optional<double> lone_boundary_;  // bootstrap: one boundary, no interval
 };

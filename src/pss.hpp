@@ -18,7 +18,6 @@
 
 // Convex-programming machinery: solvers, duals, certificates (Section 2.1, 4).
 #include "convex/brute_force.hpp"
-#include "convex/curve_segment_tree.hpp"
 #include "convex/dual.hpp"
 #include "convex/kkt.hpp"
 #include "convex/solver.hpp"

@@ -258,13 +258,14 @@ void StreamEngine::stop() {
 // ------------------------------------------------------ checkpoint/restore
 
 namespace {
-// "PSSSHRD5" as a little-endian u64 — version byte last. One image format
+// "PSSSHRD6" as a little-endian u64 — version byte last. One image format
 // serves both entry points: checkpoint_shard writes one shard image, and
 // checkpoint() writes every shard's image in shard order. (Images of the
-// earlier formats — one shared header ahead of the shard states, or
-// "PSSSHRD4" session blobs that still carry a lazy water-level section —
-// are refused as bad magic.)
-constexpr std::uint64_t kShardMagic = 0x3544524853535350ull;
+// earlier formats — one shared header ahead of the shard states,
+// "PSSSHRD4" session blobs that still carry a lazy water-level section, or
+// "PSSSHRD5" session blobs that still carry an accepted-id section — are
+// refused as bad magic.)
+constexpr std::uint64_t kShardMagic = 0x3644524853535350ull;
 }  // namespace
 
 bool StreamEngine::quiesce_producers() {

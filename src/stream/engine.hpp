@@ -53,7 +53,7 @@
 // Per-shard checkpoints (checkpoint_shard / restore_shard) plus the WAL
 // (stream/recovery) rebuild the lost shard without touching healthy ones.
 //
-// Checkpoint format: one image format, the shard image ("PSSSHRD5": magic,
+// Checkpoint format: one image format, the shard image ("PSSSHRD6": magic,
 // wal_mark, shard index, config block, tallies, session table). An engine
 // image (checkpoint / restore) is every shard's image in shard order — the
 // same bytes a CheckpointCoordinator generation writes as its parts.
@@ -274,8 +274,8 @@ class StreamEngine {
   /// must carry the same wal_mark. Producer count, admission depth and
   /// spill budget are serving-side knobs, not state — they may differ. A
   /// restored engine's subsequent decisions and energies are bitwise
-  /// identical to the uninterrupted run's; certification counters may
-  /// differ (caches restart cold).
+  /// identical to the uninterrupted run's; cache counters may differ
+  /// (caches restart cold).
   /// Returns the images' common wal_mark stamp.
   std::uint64_t restore(std::istream& is);
 
@@ -377,7 +377,7 @@ class StreamEngine {
   /// timeout counts a refusal and returns false.
   bool quiesce_producers();
   void drain_shard(Shard& shard);
-  /// The one checkpoint image codec (PSSSHRD5), shared by the shard and
+  /// The one checkpoint image codec (PSSSHRD6), shared by the shard and
   /// engine entry points. The reader checks the config block (shard count,
   /// machine, delta, record_decisions) against this engine and returns the
   /// image's wal_mark.

@@ -10,9 +10,9 @@ namespace pss::util {
 
 /// splitmix64 finalizer (Steele, Lea & Flood): a bijective avalanche mix.
 /// The one shared definition behind every deterministic hash-like need in
-/// the library — treap priorities (util::OrderIndex,
-/// convex::CurveSegmentTree) and stream routing (stream::StreamRouter) —
-/// so the constants cannot drift apart between copies.
+/// the library — treap priorities (util::OrderIndex) and stream routing
+/// (stream::StreamRouter) — so the constants cannot drift apart between
+/// copies.
 [[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

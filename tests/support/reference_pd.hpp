@@ -2,10 +2,9 @@
 //
 // The production engines (core::PdScheduler and core::run_fractional_pd)
 // keep their state in model::IntervalStore and place arrivals through the
-// core::CurveCache insertion curves and the lazy-sum water fill.
-// PdScheduler also takes one certified shortcut (the segment-tree
-// rejection screen); fractional PD takes none. This oracle is the root
-// reference both are held against bit for bit: the contiguous
+// core::CurveCache insertion curves and the lazy-sum water fill, with no
+// shortcut on any arrival. This oracle is the root reference both are
+// held against bit for bit: the contiguous
 // TimePartition + WorkAssignment refinement of Section 3 and the stateless
 // convex::water_fill / convex::window_capacity scans, which rebuild every
 // insertion curve of the window on every arrival. It is slow

@@ -2,11 +2,12 @@
 // contract):
 //   * compacted vs uncompacted twins commit bitwise-identical decisions
 //     and energies, both bitwise equal to the test-only reference oracle;
-//   * a checkpoint written mid-soak (with retired energy and accepted-id
-//     records in flight) restores into a fresh scheduler that replays the remaining traffic bitwise
-//     identically — and re-serializes to the identical bytes, while a blob
-//     with a non-finite clock, retired energy or load, a repeated or zero
-//     load, or unsorted accepted-id records is refused;
+//   * a checkpoint written mid-soak (with retired energy in flight)
+//     restores into a fresh scheduler that replays the remaining traffic
+//     bitwise identically — and re-serializes to the identical bytes, while
+//     a blob with a non-finite clock, retired energy or load, a repeated or
+//     zero load, or arrival counters that contradict each other or the
+//     decision log is refused;
 //   * steady-state serving with per-tick compaction holds O(live window)
 //     structure while the uncompacted twin grows linearly;
 //   * a million idle advances are structure-free: no boundary, no slab
@@ -18,9 +19,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -130,8 +133,6 @@ TEST(Compaction, DifferentialCubeCompactedVsUncompacted) {
   EXPECT_GT(compacted.counters().compacted_intervals, 0);
   EXPECT_LT(compacted.live_intervals(), plain.live_intervals());
   EXPECT_GT(compacted.retired_energy(), 0.0);
-  // The screen engaged on this traffic.
-  EXPECT_GT(compacted.counters().window_prunes, 0);
 }
 
 TEST(Compaction, FullRetirementPreservesEnergyBitwise) {
@@ -370,8 +371,9 @@ TEST(Checkpoint, RejectsMismatchedConfigurationAndGarbage) {
 // backend-selector bytes and a tuner block), "PSSCKPT5" and "PSSCKPT6"
 // (one engine header ahead of the shard states; an engine image is now
 // the shard images back to back), and shard images "PSSSHRD3" (config and
-// session blobs with the windowed/lazy bytes) and "PSSSHRD4" (session blobs
-// with a lazy water-level section).
+// session blobs with the windowed/lazy bytes), "PSSSHRD4" (session blobs
+// with a lazy water-level section) and "PSSSHRD5" (session blobs with an
+// accepted-id section).
 TEST(Checkpoint, EngineRefusesPreviousFormatAsBadMagic) {
   stream::EngineOptions options;
   options.num_shards = 2;
@@ -393,7 +395,7 @@ TEST(Checkpoint, EngineRefusesPreviousFormatAsBadMagic) {
   std::ostringstream os(std::ios::binary);
   source.checkpoint(os);
   const std::string image = os.str();
-  ASSERT_EQ(image.substr(0, 8), "PSSSHRD5");
+  ASSERT_EQ(image.substr(0, 8), "PSSSHRD6");
   for (const char* previous : {"PSSCKPT4", "PSSCKPT5", "PSSCKPT6"}) {
     std::string old = image;
     old.replace(0, 8, previous);
@@ -403,9 +405,9 @@ TEST(Checkpoint, EngineRefusesPreviousFormatAsBadMagic) {
 
   std::ostringstream shard_os(std::ios::binary);
   source.checkpoint_shard(0, shard_os);
-  ASSERT_EQ(shard_os.str().substr(0, 8), "PSSSHRD5");
+  ASSERT_EQ(shard_os.str().substr(0, 8), "PSSSHRD6");
   stream::StreamEngine target(options);
-  for (const char* previous : {"PSSSHRD3", "PSSSHRD4"}) {
+  for (const char* previous : {"PSSSHRD3", "PSSSHRD4", "PSSSHRD5"}) {
     std::string shard_image = shard_os.str();
     shard_image.replace(0, 8, previous);
     expect_bad_magic(shard_image, [&](std::istream& is) {
@@ -476,7 +478,7 @@ TEST(Checkpoint, EngineRefusesShardsWithDifferentWalMarks) {
   EXPECT_EQ(equal.restore(is_equal), 2u);
 }
 
-// Byte offsets into a PSSSHRD5 image: magic, wal_mark and shard index
+// Byte offsets into a PSSSHRD6 image: magic, wal_mark and shard index
 // (3 x u64), then the config block — num_shards (u64), m (i64),
 // alpha (f64), has_delta (bool), delta (f64), record_decisions (bool) —
 // then the tallies, enqueued first.
@@ -600,12 +602,11 @@ TEST(Checkpoint, RefusesNonFiniteEnergyClockAndLoads) {
 }
 
 // A session blob is canonical: save_scheduler writes each interval's load
-// list with one nonzero entry per job (the store never holds a zero) and
-// the accepted-id records in strictly ascending id order. A blob that
-// names one job twice in an interval would make IntervalStore::set_load
-// overwrite the first entry and silently drop a load, so every
-// non-canonical list is refused.
-TEST(Checkpoint, RefusesDuplicateLoadsAndUnsortedAcceptedIds) {
+// list with one nonzero entry per job (the store never holds a zero). A
+// blob that names one job twice in an interval would make
+// IntervalStore::set_load overwrite the first entry and silently drop a
+// load, so every non-canonical list is refused.
+TEST(Checkpoint, RefusesDuplicateAndZeroLoads) {
   PdScheduler source(kMachine, {});
   ASSERT_TRUE(source.on_arrival({0, 0.0, 3.0, 1.5, util::kInf}).accepted);
   ASSERT_TRUE(source.on_arrival({1, 0.0, 4.0, 1.0, util::kInf}).accepted);
@@ -633,17 +634,10 @@ TEST(Checkpoint, RefusesDuplicateLoadsAndUnsortedAcceptedIds) {
   ASSERT_EQ(loads.size(), 2u);
   const std::string load0 = bytes(0, loads[0].amount);
   const std::string load1 = bytes(1, loads[1].amount);
-  // Accepted-id records: (id, latest deadline), ascending.
-  const std::string accepted0 = bytes(0, 3.0);
-  const std::string accepted1 = bytes(1, 4.0);
   const std::vector<std::pair<const char*, std::string>> corruptions = {
       {"job 1's load renamed to job 0",
        patched(load0 + load1, load0 + bytes(0, loads[1].amount))},
-      {"zero load", patched(load1, bytes(1, 0.0))},
-      {"accepted ids swapped",
-       patched(accepted0 + accepted1, accepted1 + accepted0)},
-      {"accepted id repeated",
-       patched(accepted0 + accepted1, accepted0 + bytes(0, 4.0))}};
+      {"zero load", patched(load1, bytes(1, 0.0))}};
   ASSERT_FALSE(::testing::Test::HasFailure());
   for (const auto& [what, corrupt] : corruptions) {
     PdScheduler target(kMachine, {});
@@ -656,6 +650,63 @@ TEST(Checkpoint, RefusesDuplicateLoadsAndUnsortedAcceptedIds) {
   std::istringstream is(blob, std::ios::binary);
   io::load_scheduler(is, target);
   EXPECT_EQ(serialize(target), blob);
+}
+
+// Every arrival is one accept or one reject, and a recorded decision log
+// holds one entry per arrival. A blob whose counters contradict each other
+// or the log is refused. Each patch below breaks exactly one of the three
+// relations and keeps the others.
+TEST(Checkpoint, RefusesInconsistentCounters) {
+  const auto options = [](bool record_decisions) {
+    PdOptions o;
+    o.record_decisions = record_decisions;
+    return o;
+  };
+  const auto blob_of = [&](bool record_decisions) {
+    PdScheduler source(kMachine, options(record_decisions));
+    EXPECT_TRUE(source.on_arrival({0, 0.0, 3.0, 1.5, util::kInf}).accepted);
+    EXPECT_FALSE(source.on_arrival({1, 0.0, 3.0, 50.0, 1e-6}).accepted);
+    EXPECT_TRUE(source.on_arrival({2, 1.0, 4.0, 1.0, util::kInf}).accepted);
+    return serialize(source);
+  };
+  // The counters close the blob in reflection-table order; arrivals,
+  // accepted and rejected are its first three i64 fields.
+  const auto patched = [](std::string blob, long long arrivals,
+                          long long accepted, long long rejected) {
+    constexpr std::size_t kCountersSize =
+        8 * std::size(core::kPdCounterFields);
+    std::ostringstream os(std::ios::binary);
+    io::write_i64(os, arrivals);
+    io::write_i64(os, accepted);
+    io::write_i64(os, rejected);
+    blob.replace(blob.size() - kCountersSize, 3 * 8, os.str());
+    return blob;
+  };
+  const std::string logged = blob_of(true);
+  const std::string unlogged = blob_of(false);
+  // The true tallies patch in as a no-op, which pins the offsets.
+  ASSERT_EQ(patched(logged, 3, 2, 1), logged);
+  ASSERT_EQ(patched(unlogged, 3, 2, 1), unlogged);
+  const std::vector<std::tuple<const char*, std::string, bool>> cases = {
+      {"accepted + rejected above arrivals", patched(unlogged, 3, 2, 2),
+       false},
+      {"negative accepted balancing the sum", patched(unlogged, 3, -1, 4),
+       false},
+      {"decision log shorter than arrivals", patched(logged, 4, 2, 2), true},
+      {"decision log accepts disagree", patched(logged, 3, 1, 2), true}};
+  for (const auto& [what, corrupt, record_decisions] : cases) {
+    PdScheduler target(kMachine, options(record_decisions));
+    std::istringstream is(corrupt, std::ios::binary);
+    EXPECT_THROW(io::load_scheduler(is, target), std::invalid_argument)
+        << what;
+  }
+  // The unpatched blobs still load.
+  for (const auto& [blob, record_decisions] :
+       {std::pair{logged, true}, std::pair{unlogged, false}}) {
+    PdScheduler target(kMachine, options(record_decisions));
+    std::istringstream is(blob, std::ios::binary);
+    EXPECT_NO_THROW(io::load_scheduler(is, target));
+  }
 }
 
 TEST(Checkpoint, FreshSchedulerRoundTrips) {

@@ -2,8 +2,8 @@
 // reference oracle.
 //
 // core::PdScheduler runs one engine — interval-store state, curve-cache
-// water fill — with one always-on certified fast path, the segment-tree
-// screen. It must be *decision-identical* to reference::ReferencePd,
+// water fill — and every arrival takes that one exact path. It must be
+// *decision-identical* to reference::ReferencePd,
 // the stateless contiguous oracle (tests/support/reference_pd): same
 // accept/reject bits, and bitwise-equal lambdas, speeds, planned energies,
 // and final-schedule cost, on every instance we can generate. The engine
@@ -11,17 +11,18 @@
 // util::LazyLinearSum and model::IntervalStore), so the comparisons here
 // are exact, not NEAR — any reordering of floating-point work in a future
 // change will show up as a hard failure, which is the point. Fractional PD
-// (which does not screen) is held to its oracle the same way. The families
-// that exist to exercise the screen also assert that it fired, so a screen
-// that silently stopped engaging cannot pass as "identical".
+// is held to its oracle the same way.
 //
 // Coverage: ~1k seeded instances across uniform, bursty (Poisson heavy
 // tail), tight-laxity, and the adversarial Theorem-3 stream, for
 // alpha in {1.1, 2, 3} x m in {1, 4, 16}; plus split-heavy long-horizon
 // families (bisection deadlines and heavy-tailed lookahead anchors) that
-// stress the Section-3 refinement machinery, a wide-window family where
-// the screen fires, and an accept-heavy long-horizon family where pruned
-// rejections are rare. Random mutation tortures (OracleTorture) interleave
+// stress the Section-3 refinement machinery, a wide-window family, and an
+// accept-heavy long-horizon family where rejections are rare. WindowedPd
+// feeds hand-built job streams (window widths from one interval to the
+// full horizon, refinement tortures, scheduler reuse, a re-arriving
+// accepted id) through engine and oracle in lockstep. Random mutation
+// tortures (OracleTorture) interleave
 // tick accepts, wide overlaps, off-grid splits, rejections, advance_to and
 // session recycling, comparing the materialized state at every snapshot;
 // one more pins fractional PD's underflowed-price edge case. A
@@ -41,6 +42,7 @@
 #include "model/instance.hpp"
 #include "model/schedule.hpp"
 #include "support/reference_pd.hpp"
+#include "util/math.hpp"
 #include "util/random.hpp"
 #include "workload/generators.hpp"
 
@@ -64,7 +66,7 @@ bool same_decision(const core::ArrivalDecision& a,
 }
 
 // Feeds the oracle and the engine in lockstep and returns the engine's
-// counters, so callers can assert whether the screen engaged. The
+// counters, so callers can assert what the run exercised. The
 // first divergence is reported as exactly one non-fatal failure and ends
 // the comparison (so the canary below can intercept it).
 core::PdCounters expect_engine_identical(const model::Instance& instance,
@@ -244,9 +246,8 @@ TEST_P(PdDifferential, SplitHeavyLookaheadInstances) {
 
 // Wide-window family: a loaded backdrop whose lookahead plants load far
 // ahead of the release frontier, punctuated by arrivals whose windows
-// span up to the whole horizon at values from hopeless to irresistible —
-// the regime the screen exists for. The engine must stay bitwise identical
-// while the screen demonstrably fires.
+// span up to the whole horizon at values from hopeless to irresistible.
+// The engine must stay bitwise identical on these wide windows too.
 model::Instance wide_window_instance(int num_jobs, Machine machine,
                                      std::uint64_t seed) {
   util::Rng rng(seed);
@@ -273,11 +274,8 @@ TEST_P(PdDifferential, WideWindowInstances) {
     SCOPED_TRACE("wide-window seed " + std::to_string(seed));
     const auto inst = wide_window_instance(150, Machine{param.m, param.alpha},
                                            8200 + std::uint64_t(seed));
-    const core::PdCounters counters = expect_engine_identical(inst);
+    expect_engine_identical(inst);
     if (::testing::Test::HasFailure()) return;
-    // The screen must have certified rejections on this family — not
-    // merely run (window_exact counts fallbacks, so prunes is the signal).
-    EXPECT_GT(counters.window_prunes, 0);
     expect_fractional_identical(inst);
   }
 }
@@ -635,6 +633,122 @@ INSTANTIATE_TEST_SUITE_P(
       return "alpha" + std::to_string(int(info.param.alpha * 10)) + "_m" +
              std::to_string(info.param.m);
     });
+
+// --------------------------------------------- hand-built job streams
+
+// Feeds a raw job stream (ids may repeat) through the oracle and the engine
+// in lockstep; every decision and the final planned energy must match.
+void expect_stream_identical(const std::vector<model::Job>& jobs,
+                             Machine machine) {
+  reference::ReferencePd oracle(machine);
+  PdScheduler engine(machine);
+  for (const model::Job& job : jobs) {
+    const auto a = oracle.on_arrival(job);
+    const auto b = engine.on_arrival(job);
+    ASSERT_TRUE(same_decision(a, b)) << job.to_string();
+  }
+  ASSERT_EQ(oracle.planned_energy(), engine.planned_energy());
+}
+
+// Window widths spanning 1 interval to the full horizon: a loaded backdrop
+// of unit intervals, then probes whose windows double in width up to the
+// whole horizon, some valuable (accepted), some hopeless (rejected).
+TEST(WindowedPd, WidthsFromOneToFullHorizonBitwiseIdentical) {
+  util::Rng rng(2026);
+  for (int trial = 0; trial < 6; ++trial) {
+    const double alpha = 1.2 + 0.6 * (trial % 3);
+    const int m = 1 + (trial % 4);
+    const Machine machine{m, alpha};
+    const int horizon = 256;
+    const int lookahead = 64;
+    std::vector<model::Job> jobs;
+    int id = 0;
+    // Umbrella pinning the region the probes will sweep, then a backdrop
+    // of lookahead jobs whose committed loads extend past the release
+    // frontier — so the probe windows below are genuinely loaded.
+    jobs.push_back({id++, 0.0, double(horizon + lookahead), 1.0, util::kInf});
+    for (int t = 0; t < horizon; ++t) {
+      model::Job job{id++, double(t), double(t + lookahead),
+                     rng.uniform(0.3, 1.5), 0.0};
+      job.value = workload::energy_fair_value(job, alpha) *
+                  rng.uniform(0.5, 4.0);
+      jobs.push_back(job);
+    }
+    // Probes from the horizon start, widths 1, 2, 4, ..., full horizon;
+    // the first lookahead ticks of each window carry committed load.
+    for (int width = 1; width <= horizon; width *= 2) {
+      for (const double value_scale : {0.02, 1.0, 50.0}) {
+        model::Job job{id++, double(horizon), double(horizon + width),
+                       rng.uniform(0.5, 2.0) * double(width), 0.0};
+        job.value = workload::energy_fair_value(job, alpha) * value_scale;
+        jobs.push_back(job);
+      }
+    }
+    expect_stream_identical(jobs, machine);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// Epoch-invalidation torture through the scheduler, mirroring
+// test_incremental's CacheInvalidation streams: interleaved splits,
+// appends, and tolerance prepends with committed loads present, engine vs
+// oracle in lockstep.
+TEST(WindowedPd, RefinementTortureBitwiseIdentical) {
+  util::Rng rng(555);
+  for (int trial = 0; trial < 20; ++trial) {
+    const double alpha = rng.uniform(1.2, 3.0);
+    const int m = int(rng.uniform_int(1, 5));
+    std::vector<model::Job> jobs;
+    jobs.push_back({0, 1.0, 65.0, rng.uniform(4.0, 10.0), util::kInf});
+    // One tolerance prepend right after the umbrella.
+    jobs.push_back({1, 1.0 - 0.5e-12, 1.5, 0.4, 3.0});
+    double t = 1.0;
+    for (int i = 2; i < 40; ++i) {
+      t += rng.uniform(0.1, 2.0);
+      const bool extend = rng.bernoulli(0.2);
+      const double span =
+          extend ? rng.uniform(70.0, 120.0) : rng.uniform(0.3, 9.0);
+      jobs.push_back({i, t, t + span, rng.uniform(0.2, 3.0),
+                      std::pow(10.0, rng.uniform(-2.0, 2.0))});
+    }
+    expect_stream_identical(jobs, Machine{m, alpha});
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// A scheduler reused via reset() must replay a stream exactly like a fresh
+// one (the stream engine's session-recycling pattern).
+TEST(WindowedPd, ResetReplaysLikeFresh) {
+  const Machine machine{2, 2.0};
+  PdScheduler scheduler(machine, {});
+  std::vector<model::Job> jobs = {
+      {0, 0.0, 8.0, 2.0, util::kInf},
+      {1, 0.0, 8.0, 50.0, 1e-6},  // hopeless: rejected
+  };
+  for (const model::Job& job : jobs) (void)scheduler.on_arrival(job);
+  const auto first = scheduler.decisions();
+  ASSERT_EQ(scheduler.counters().rejected, 1);
+  scheduler.reset();
+  EXPECT_EQ(scheduler.counters().arrivals, 0);
+  for (const model::Job& job : jobs) (void)scheduler.on_arrival(job);
+  ASSERT_EQ(first.size(), scheduler.decisions().size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].second.accepted, scheduler.decisions()[i].second.accepted);
+    EXPECT_EQ(first[i].second.lambda, scheduler.decisions()[i].second.lambda);
+  }
+}
+
+// A job id that was already accepted re-arrives: its committed loads are
+// excluded from its own insertion curves, and the decision must match the
+// oracle's.
+TEST(WindowedPd, ReArrivingAcceptedIdMatchesOracle) {
+  const std::vector<model::Job> jobs = {
+      {7, 0.0, 4.0, 2.0, util::kInf},
+      {7, 1.0, 3.0, 1.0, 0.001},  // same id re-arrives, hopeless value
+      {8, 1.0, 3.0, 40.0, 0.001},
+  };
+  expect_stream_identical(jobs, Machine{2, 2.0});
+}
 
 }  // namespace
 }  // namespace pss
