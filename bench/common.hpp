@@ -8,9 +8,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -169,6 +171,35 @@ class JsonValue {
 #ifndef PSS_BENCH_CXX_FLAGS
 #define PSS_BENCH_CXX_FLAGS "unknown"
 #endif
+#ifndef PSS_BENCH_SOURCE_DIR
+#define PSS_BENCH_SOURCE_DIR "."
+#endif
+
+/// HEAD commit of the source tree, read when the JSON is written, or
+/// "unavailable" outside a git checkout.
+inline std::string git_sha() {
+  const std::string command = std::string("git -C '") + PSS_BENCH_SOURCE_DIR +
+                              "' rev-parse HEAD 2>/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return "unavailable";
+  char line[128] = {};
+  const bool read = std::fgets(line, sizeof(line), pipe) != nullptr;
+  const int status = pclose(pipe);
+  std::string sha = read ? line : "";
+  while (!sha.empty() && std::isspace(static_cast<unsigned char>(sha.back())))
+    sha.pop_back();
+  return status == 0 && !sha.empty() ? sha : "unavailable";
+}
+
+/// Current UTC time, ISO 8601 (e.g. "2026-01-31T12:00:00Z").
+inline std::string utc_date() {
+  const std::time_t now = std::time(nullptr);
+  std::tm tm{};
+  gmtime_r(&now, &tm);
+  char text[32];
+  std::strftime(text, sizeof(text), "%Y-%m-%dT%H:%M:%SZ", &tm);
+  return text;
+}
 
 /// Writes `root` to sim::result_dir()/name and echoes the path. Every
 /// BENCH_*.json uniformly records the machine's hardware_concurrency (so a
@@ -176,8 +207,9 @@ class JsonValue {
 /// small box), the workload seed the driver generated its streams from
 /// (so the exact run is reproducible), and the build that produced the
 /// numbers (build type, compiler and version, CXX flags — absolute rates
-/// from different builds are not comparable); the fields are stamped here
-/// rather than ad hoc per driver.
+/// from different builds are not comparable), the source tree's HEAD commit
+/// and when it ran (git_sha, date: both read at run time); the fields are
+/// stamped here rather than ad hoc per driver.
 inline void emit_json(JsonValue root, const std::string& name,
                       std::uint64_t workload_seed) {
   root.set("hardware_concurrency",
@@ -186,7 +218,9 @@ inline void emit_json(JsonValue root, const std::string& name,
       .set("workload_seed", JsonValue::integer((long long)workload_seed))
       .set("build_type", JsonValue::string(PSS_BENCH_BUILD_TYPE))
       .set("compiler", JsonValue::string(PSS_BENCH_COMPILER))
-      .set("cxx_flags", JsonValue::string(PSS_BENCH_CXX_FLAGS));
+      .set("cxx_flags", JsonValue::string(PSS_BENCH_CXX_FLAGS))
+      .set("git_sha", JsonValue::string(git_sha()))
+      .set("date", JsonValue::string(utc_date()));
   const std::string path = sim::result_dir() + "/" + name;
   std::ofstream out(path);
   root.write(out);

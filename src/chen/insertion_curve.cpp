@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/assert.hpp"
 
@@ -26,6 +27,103 @@ PoolState pool_state(const std::vector<double>& sorted_desc,
   return {d, total - prefix_sums[d]};
 }
 
+/// Number of loads strictly above `level` in the sorted-descending `u` —
+/// the count pool_state's binary search returns — moved from a previous
+/// count `d`. Amortized O(1) per call while successive levels ascend.
+std::size_t count_above(const std::vector<double>& u, std::size_t d,
+                        double level) {
+  while (d > 0 && !(u[d - 1] > level)) --d;
+  while (d < u.size() && u[d] > level) ++d;
+  return d;
+}
+
+/// The curve algorithm. `scratch.sorted` holds the raw load amounts on
+/// entry; they are validated, filtered and sorted in place.
+void build_from_amounts(int num_processors, double length,
+                        InsertionScratch& scratch, util::PiecewiseLinear& out) {
+  using Knot = util::PiecewiseLinear::Knot;
+  std::vector<double>& u = scratch.sorted;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    const double x = u[i];
+    PSS_REQUIRE(x >= 0.0 && std::isfinite(x), "loads must be >= 0 and finite");
+    if (x > 0.0) u[n++] = x;
+  }
+  u.resize(n);
+  std::sort(u.begin(), u.end(), std::greater<>());
+  std::vector<double>& prefix = scratch.prefix;
+  prefix.assign(n + 1, 0.0);
+  for (std::size_t i = 0; i < n; ++i) prefix[i + 1] = prefix[i] + u[i];
+  const double total = prefix.back();
+  const std::size_t procs = std::size_t(num_processors);
+  const double inf = std::numeric_limits<double>::infinity();
+
+  out.rebuild(length, [&](std::vector<Knot>& knots) {
+    // Candidate speeds where the curve can change slope, written ascending
+    // and distinct as knot x's: 0 and the thresholds u_i / l (where a
+    // dedicated job dissolves into the pool) — ascending because u is
+    // sorted descending — and, inside each segment between consecutive
+    // thresholds, the clamp crossings of the two min/max branches.
+    std::size_t next = n;  // thresholds u[next-1]/l, .., u[0]/l remain
+    std::size_t d = n;     // count_above cursor for the segment probes
+    double a = 0.0;
+    while (true) {
+      knots.push_back({a, 0.0});
+      double b = inf;
+      while (next > 0) {
+        const double t = u[--next] / length;
+        if (t > a) {  // t == a: a duplicate threshold
+          b = t;
+          break;
+        }
+      }
+      // Segment-constant pool state: probe just inside the segment.
+      const double probe = std::isinf(b) ? a + 1.0 : 0.5 * (a + b);
+      d = count_above(u, d, probe * length);
+      if (d < procs) {
+        const double c = (double(num_processors) - double(d)) * length;
+        const double pool_load = total - prefix[d];
+        // Pool branch c*s - R: its crossings with 0 and with length*s.
+        // R/c <= R/(c-l), so they come out ascending.
+        if (c > 0.0 && pool_load > 0.0) {
+          const double zero_cross = pool_load / c;
+          if (zero_cross > a && zero_cross < b)
+            knots.push_back({zero_cross, 0.0});
+        }
+        if (c > length && pool_load > 0.0) {
+          const double min_cross = pool_load / (c - length);
+          if (min_cross > a && min_cross < b && knots.back().x != min_cross)
+            knots.push_back({min_cross, 0.0});
+        }
+      }
+      if (std::isinf(b)) break;
+      a = b;
+    }
+    // One candidate beyond the largest threshold so the final linear piece
+    // (slope l) anchors correctly even when the last crossing is far out.
+    // Every candidate so far is at most total/l (u_0 <= total, and both
+    // crossings divide R <= total by at least l), so 2*total/l + 1 lies
+    // strictly above them all.
+    knots.push_back({(total > 0.0 ? 2.0 * total / length : 1.0) + 1.0, 0.0});
+
+    // z at each candidate, with the pool state moved along the ascending
+    // speeds.
+    d = n;
+    for (Knot& k : knots) {
+      const double s = k.x;
+      double z = 0.0;
+      if (s > 0.0) {
+        d = count_above(u, d, s * length);
+        if (d < procs) {
+          const double c = (double(num_processors) - double(d)) * length;
+          z = std::max(0.0, std::min(c * s - (total - prefix[d]), s * length));
+        }
+      }
+      k.y = z;
+    }
+  });
+}
+
 }  // namespace
 
 double insertion_amount(const std::vector<double>& sorted_loads_desc,
@@ -44,84 +142,34 @@ double insertion_amount(const std::vector<double>& sorted_loads_desc,
   return std::max(0.0, std::min(pool_branch, dedicated_branch));
 }
 
+void build_insertion_curve(const std::vector<model::Load>& loads,
+                           model::JobId ignore_job, int num_processors,
+                           double length, InsertionScratch& scratch,
+                           util::PiecewiseLinear& out) {
+  PSS_REQUIRE(num_processors >= 1 && length > 0.0, "bad interval parameters");
+  scratch.sorted.clear();
+  for (const model::Load& l : loads)
+    if (l.job != ignore_job) scratch.sorted.push_back(l.amount);
+  build_from_amounts(num_processors, length, scratch, out);
+}
+
 util::PiecewiseLinear insertion_curve(std::vector<double> other_loads,
                                       int num_processors, double length) {
   PSS_REQUIRE(num_processors >= 1 && length > 0.0, "bad interval parameters");
-  std::vector<double> u;
-  u.reserve(other_loads.size());
-  for (double x : other_loads) {
-    PSS_REQUIRE(x >= 0.0 && std::isfinite(x), "loads must be >= 0 and finite");
-    if (x > 0.0) u.push_back(x);
-  }
-  std::sort(u.begin(), u.end(), std::greater<>());
-  std::vector<double> prefix(u.size() + 1, 0.0);
-  for (std::size_t i = 0; i < u.size(); ++i) prefix[i + 1] = prefix[i] + u[i];
-  const double total = prefix.back();
-
-  // Candidate speeds where the curve can change slope: the thresholds
-  // u_i / l (where a dedicated job dissolves into the pool) plus, per linear
-  // segment, the clamp crossings of the two min/max branches.
-  std::vector<double> candidates{0.0};
-  for (double load : u) candidates.push_back(load / length);
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-
-  std::vector<double> extra;
-  const double inf = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const double a = candidates[i];
-    const double b = (i + 1 < candidates.size()) ? candidates[i + 1] : inf;
-    // Segment-constant pool state: probe just inside the segment.
-    const double probe = std::isinf(b) ? a + 1.0 : 0.5 * (a + b);
-    const PoolState st = pool_state(u, prefix, probe * length);
-    if (st.dedicated >= std::size_t(num_processors)) continue;
-    const double c = (double(num_processors) - double(st.dedicated)) * length;
-    // pool branch: c*s - R; crossings with 0 and with length*s.
-    if (c > 0.0 && st.pool_load > 0.0) {
-      const double zero_cross = st.pool_load / c;
-      if (zero_cross > a && zero_cross < b) extra.push_back(zero_cross);
-    }
-    if (c > length && st.pool_load > 0.0) {
-      const double min_cross = st.pool_load / (c - length);
-      if (min_cross > a && min_cross < b) extra.push_back(min_cross);
-    }
-  }
-  candidates.insert(candidates.end(), extra.begin(), extra.end());
-  // One candidate beyond the largest threshold so the final linear piece
-  // (slope l) anchors correctly even when the last crossing is far out.
-  const double top = std::max(candidates.empty() ? 0.0 : candidates.back(),
-                              (total > 0.0 ? 2.0 * total / length : 1.0));
-  candidates.push_back(top + 1.0);
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-
-  std::vector<util::PiecewiseLinear::Knot> knots;
-  knots.reserve(candidates.size());
-  for (double s : candidates) {
-    double z = 0.0;
-    if (s > 0.0) {
-      const PoolState st = pool_state(u, prefix, s * length);
-      if (st.dedicated < std::size_t(num_processors)) {
-        const double c =
-            (double(num_processors) - double(st.dedicated)) * length;
-        z = std::max(0.0, std::min(c * s - st.pool_load, s * length));
-      }
-    }
-    knots.push_back({s, z});
-  }
-  return util::PiecewiseLinear::from_knots(std::move(knots), length);
+  InsertionScratch scratch{std::move(other_loads), {}};
+  util::PiecewiseLinear curve;
+  build_from_amounts(num_processors, length, scratch, curve);
+  return curve;
 }
 
 util::PiecewiseLinear insertion_curve(const std::vector<model::Load>& loads,
                                       model::JobId ignore_job,
                                       int num_processors, double length) {
-  std::vector<double> amounts;
-  amounts.reserve(loads.size());
-  for (const model::Load& l : loads)
-    if (l.job != ignore_job) amounts.push_back(l.amount);
-  return insertion_curve(std::move(amounts), num_processors, length);
+  InsertionScratch scratch;
+  util::PiecewiseLinear curve;
+  build_insertion_curve(loads, ignore_job, num_processors, length, scratch,
+                        curve);
+  return curve;
 }
 
 }  // namespace pss::chen

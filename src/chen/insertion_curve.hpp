@@ -27,16 +27,32 @@ namespace pss::chen {
     const std::vector<double>& sorted_loads_desc, int num_processors,
     double length, double speed);
 
-/// Builds the full piecewise-linear curve z_k : s -> insertable work.
-/// `other_loads` need not be sorted; nonpositive loads are ignored.
-/// The returned function starts at s = 0 with z = 0 and has final slope l.
+/// Reusable working memory of build_insertion_curve: the positive loads
+/// sorted descending and their prefix sums. Holding one across rebuilds
+/// makes a rebuild allocation-free once the buffers have grown to the
+/// largest load count seen.
+struct InsertionScratch {
+  std::vector<double> sorted;
+  std::vector<double> prefix;
+};
+
+/// Builds the full piecewise-linear curve z_k of an interval straight from
+/// its committed loads, skipping `ignore_job` (pass -1 to keep every load),
+/// into `out`, reusing `out`'s knot buffer and `scratch`. The one curve
+/// algorithm: the insertion_curve overloads below wrap it, and the
+/// scheduler's per-interval curve cache rebuilds through it in place.
+/// The curve starts at s = 0 with z = 0 and has final slope l.
+void build_insertion_curve(const std::vector<model::Load>& loads,
+                           model::JobId ignore_job, int num_processors,
+                           double length, InsertionScratch& scratch,
+                           util::PiecewiseLinear& out);
+
+/// The same curve from bare load amounts. `other_loads` need not be
+/// sorted; nonpositive loads are ignored.
 [[nodiscard]] util::PiecewiseLinear insertion_curve(
     std::vector<double> other_loads, int num_processors, double length);
 
-/// Same curve built straight from an interval's committed loads, skipping
-/// `ignore_job` (pass -1 to keep every load). Produces the identical curve
-/// the vector overload builds from the extracted amounts; this is the entry
-/// point the scheduler's per-interval curve cache rebuilds through.
+/// The same curve from an interval's loads, skipping `ignore_job`.
 [[nodiscard]] util::PiecewiseLinear insertion_curve(
     const std::vector<model::Load>& loads, model::JobId ignore_job,
     int num_processors, double length);

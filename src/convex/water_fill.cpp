@@ -41,17 +41,17 @@ void for_window(const model::IntervalStore& store, model::IntervalRange window,
   }
 }
 
-// Shared placement tail of both water-fill entry points. The reference and
-// incremental paths must stay operation-for-operation identical here (dust
-// cutoff, largest-share tie-break, residue absorption) — that is what the
-// differential suite's bitwise equality rests on — so there is exactly one
-// copy. `curve_at(i)` returns the i-th window interval's insertion curve.
+// Shared placement tail of both water-fill entry points, written into
+// `placement`. The reference and incremental paths must stay
+// operation-for-operation identical here (dust cutoff, largest-share
+// tie-break, residue absorption) — that is what the differential suite's
+// bitwise equality rests on — so there is exactly one copy. `curve_at(i)`
+// returns the i-th window interval's insertion curve.
 template <typename CurveAt>
-Placement build_placement(double work, double level, std::size_t num_curves,
-                          const CurveAt& curve_at) {
-  Placement placement;
+void build_placement(double work, double level, std::size_t num_curves,
+                     const CurveAt& curve_at, Placement& placement) {
   placement.speed = level;
-  placement.amounts.resize(num_curves, 0.0);
+  placement.amounts.assign(num_curves, 0.0);
   std::size_t largest = 0;
   for (std::size_t i = 0; i < num_curves; ++i) {
     double amount = curve_at(i).eval(level);
@@ -70,7 +70,6 @@ Placement build_placement(double work, double level, std::size_t num_curves,
   placement.amounts[largest] += residue;
   PSS_CHECK(placement.amounts[largest] >= 0.0, "negative corrected amount");
   placement.placed = work;
-  return placement;
 }
 
 }  // namespace
@@ -103,32 +102,36 @@ std::optional<Placement> water_fill(const model::WorkAssignment& assignment,
             "unbounded-speed window must absorb any workload");
   PSS_CHECK(!std::isfinite(max_speed) || *level <= max_speed * (1.0 + 1e-9),
             "water level exceeded the verified cap");
-  return build_placement(work, *level, curves.size(),
-                         [&](std::size_t i) -> const util::PiecewiseLinear& {
-                           return curves[i];
-                         });
+  Placement placement;
+  build_placement(work, *level, curves.size(),
+                  [&](std::size_t i) -> const util::PiecewiseLinear& {
+                    return curves[i];
+                  },
+                  placement);
+  return placement;
 }
 
-std::optional<Placement> water_fill_over_curves(
+bool water_fill_over_curves(
     std::span<const util::PiecewiseLinear* const> curves, double work,
-    double max_speed) {
+    double max_speed, std::vector<double>& terms, Placement& out) {
   PSS_REQUIRE(!curves.empty(), "empty placement window");
   PSS_REQUIRE(work > 0.0, "work must be positive");
   PSS_REQUIRE(max_speed > 0.0, "max speed must be positive");
 
-  const util::LazyLinearSum total(curves);
+  const util::LazyLinearSum total(curves, terms);
 
-  if (std::isfinite(max_speed) && total.eval(max_speed) < work)
-    return std::nullopt;
+  if (std::isfinite(max_speed) && total.eval(max_speed) < work) return false;
   const std::optional<double> level = total.first_at_least(work);
   PSS_CHECK(level.has_value(),
             "unbounded-speed window must absorb any workload");
   PSS_CHECK(!std::isfinite(max_speed) || *level <= max_speed * (1.0 + 1e-9),
             "water level exceeded the verified cap");
-  return build_placement(work, *level, curves.size(),
-                         [&](std::size_t i) -> const util::PiecewiseLinear& {
-                           return *curves[i];
-                         });
+  build_placement(work, *level, curves.size(),
+                  [&](std::size_t i) -> const util::PiecewiseLinear& {
+                    return *curves[i];
+                  },
+                  out);
+  return true;
 }
 
 double window_capacity(const model::WorkAssignment& assignment,

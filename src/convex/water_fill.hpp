@@ -50,9 +50,15 @@ struct Placement {
 /// per-arrival cost from O(N*W) to O(N log N) for N total knots over W
 /// intervals. Bitwise decision-identical to the stateless overload above,
 /// which the test-only reference oracle runs (tests/test_differential.cpp).
-[[nodiscard]] std::optional<Placement> water_fill_over_curves(
+///
+/// Returns false (the PD rejection branch; `out` untouched) if the window
+/// cannot absorb `work` at own-speed <= max_speed; otherwise fills `out`
+/// and returns true. `terms` is the sum view's term buffer. Both are the
+/// caller's and keep their capacity, so a call with warmed buffers
+/// allocates nothing.
+[[nodiscard]] bool water_fill_over_curves(
     std::span<const util::PiecewiseLinear* const> curves, double work,
-    double max_speed);
+    double max_speed, std::vector<double>& terms, Placement& out);
 
 /// Total work the window can absorb at own-speed exactly `speed`
 /// (the Z(s) above); used by tests and the rejection rule.

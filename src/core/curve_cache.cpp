@@ -1,13 +1,12 @@
 #include "core/curve_cache.hpp"
 
-#include "chen/insertion_curve.hpp"
 #include "util/assert.hpp"
 
 namespace pss::core {
 
 void CurveCache::reset() {
   entries_.clear();
-  scratch_.clear();
+  tainted_.clear();
   out_.clear();
   stats_ = Stats{};
 }
@@ -26,7 +25,7 @@ std::span<const util::PiecewiseLinear* const> CurveCache::curves_for(
   if (entries_.size() < store.handle_space())
     entries_.resize(store.handle_space());
 
-  scratch_.clear();
+  tainted_.clear();
   out_.clear();
   model::IntervalStore::Handle h = store.handle_at(window.first);
   for (std::size_t i = 0; i < window.size(); ++i) {
@@ -38,12 +37,13 @@ std::span<const util::PiecewiseLinear* const> CurveCache::curves_for(
     if (store.load_of(h, ignore_job) != 0.0) {
       // The excluded job already owns load here (re-placement): this curve
       // is not the all-loads curve, so build it aside and skip the cache.
-      // Rare path — grow scratch up front so the pointers below stay put.
-      if (scratch_.capacity() < window.size())
-        scratch_.reserve(window.size());
-      scratch_.push_back(chen::insertion_curve(store.loads(h), ignore_job,
-                                               num_processors, length));
-      out_.push_back(&scratch_.back());
+      // Rare path — grow the side storage up front so the pointers below
+      // stay put.
+      if (tainted_.capacity() < window.size()) tainted_.reserve(window.size());
+      tainted_.emplace_back();
+      chen::build_insertion_curve(store.loads(h), ignore_job, num_processors,
+                                  length, scratch_, tainted_.back());
+      out_.push_back(&tainted_.back());
       ++stats_.rebuilds;
     } else {
       Entry& entry = entries_[h];
@@ -51,8 +51,9 @@ std::span<const util::PiecewiseLinear* const> CurveCache::curves_for(
           entry.length == length) {
         ++stats_.hits;
       } else {
-        entry.curve = chen::insertion_curve(store.loads(h), ignore_job,
-                                            num_processors, length);
+        chen::build_insertion_curve(store.loads(h), ignore_job,
+                                    num_processors, length, scratch_,
+                                    entry.curve);
         entry.epoch = store.epoch(h);
         entry.length = length;
         entry.built = true;

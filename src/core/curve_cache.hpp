@@ -14,6 +14,10 @@
 //
 // Two clients read it, PdScheduler and core::run_fractional_pd: curves_for
 // feeds each arrival's exact water fill.
+//
+// Rebuilds happen in place: a stale entry is rebuilt into its own knot
+// buffer through one cache-owned chen::InsertionScratch, so once the
+// buffers have grown, a rebuild allocates nothing (tests/test_alloc.cpp).
 #pragma once
 
 #include <cstddef>
@@ -21,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "chen/insertion_curve.hpp"
 #include "model/interval_store.hpp"
 #include "util/piecewise_linear.hpp"
 
@@ -40,7 +45,7 @@ class CurveCache {
   /// Entries whose (epoch, length) still match the store are served as
   /// hits; stale entries rebuild and re-cache, so refinements between calls
   /// need no notification. An interval that currently holds a load of
-  /// `ignore_job` is built into scratch storage and not cached (the cached
+  /// `ignore_job` is built into side storage and not cached (the cached
   /// curve must describe all committed loads). The span views a reused
   /// member buffer — no per-call allocation on the hot path — and stays
   /// valid until the next call. The slab grows lazily with the store's
@@ -66,7 +71,8 @@ class CurveCache {
   };
 
   std::vector<Entry> entries_;  // slab addressed by store handle
-  std::vector<util::PiecewiseLinear> scratch_;  // ignore_job-tainted curves
+  std::vector<util::PiecewiseLinear> tainted_;  // ignore_job-tainted curves
+  chen::InsertionScratch scratch_;  // working memory of every rebuild
   std::vector<const util::PiecewiseLinear*> out_;  // curves_for result buffer
   Stats stats_;
 };

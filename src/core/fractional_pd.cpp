@@ -26,6 +26,8 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
 
   OnlineState state;
   CurveCache cache;
+  convex::Placement placement;
+  std::vector<double> fill_terms;
   FractionalPdResult result;
   result.fraction.assign(instance.num_jobs(), 0.0);
   result.lambda.assign(instance.num_jobs(), 0.0);
@@ -49,12 +51,12 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
     }
     const auto curves = cache.curves_for(state.store, machine.num_processors,
                                          window, job.id);
-    const auto placement =
-        convex::water_fill_over_curves(curves, target, util::kInf);
-    PSS_CHECK(placement.has_value(), "fractional placement failed");
+    const bool placed = convex::water_fill_over_curves(
+        curves, target, util::kInf, fill_terms, placement);
+    PSS_CHECK(placed, "fractional placement failed");
     model::IntervalStore::Handle h = state.store.handle_at(window.first);
     for (std::size_t i = 0; i < window.size(); ++i) {
-      state.store.set_load(h, job.id, placement->amounts[i]);
+      state.store.set_load(h, job.id, placement.amounts[i]);
       h = state.store.next_handle(h);
     }
     result.fraction[std::size_t(job.id)] = target / job.work;
@@ -63,7 +65,7 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
     result.lambda[std::size_t(job.id)] =
         target < job.work ? job.value
                           : price * job.work * power.derivative(
-                                                   placement->speed);
+                                                   placement.speed);
   }
 
   result.partition = state.store.snapshot_partition();

@@ -5,8 +5,6 @@
 
 #include "chen/interval_schedule.hpp"
 #include "chen/realize.hpp"
-#include "convex/solver.hpp"
-#include "convex/water_fill.hpp"
 #include "core/rejection.hpp"
 #include "model/power.hpp"
 #include "util/assert.hpp"
@@ -40,17 +38,7 @@ void PdScheduler::compact_before(double frontier) {
   if (store.num_intervals() == 0) return;
   // Fast exit for the common per-tick case: nothing retires.
   if (store.end_of(store.front_handle()) > frontier) return;
-  // Retired prefix energy, accumulated left to right with the same
-  // skip-empty order assignment_energy uses: planned_energy() continuing
-  // from this accumulator reproduces the uncompacted sum bitwise.
-  for (model::IntervalStore::Handle h = store.front_handle();
-       h != model::IntervalStore::kNoHandle && store.end_of(h) <= frontier;
-       h = store.next_handle(h)) {
-    if (store.loads(h).empty()) continue;
-    retired_energy_ +=
-        chen::interval_energy(store.loads(h), machine_.num_processors,
-                              store.length_of(h), machine_.alpha);
-  }
+  retired_energy_ = energy_before(frontier, retired_energy_);
   freed_scratch_.clear();
   const std::size_t retired = store.compact_before(frontier, freed_scratch_);
   if (retired == 0) return;
@@ -60,6 +48,13 @@ void PdScheduler::compact_before(double frontier) {
 }
 
 void PdScheduler::reset() {
+  // Drops the session's interval store, cached curves and load lists with
+  // their heap capacity; only small working buffers (the cache's slot
+  // slab and rebuild scratch, the water-fill buffers) keep theirs.
+  // Recycling that capacity across sessions would remove nearly every
+  // allocation left on the arrival path (0.005 per arrival), but each
+  // pooled scheduler would then hold its largest session's footprint:
+  // serve-dense peak RSS rose from 29.5 to 37.2 MB (+25%) when tried.
   state_ = OnlineState{};
   cache_.reset();
   decisions_.clear();
@@ -93,22 +88,22 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   // an accept commits one load per window interval.
   const auto curves = cache_.curves_for(state_.store, machine_.num_processors,
                                         window, job.id);
-  const auto placement =
-      convex::water_fill_over_curves(curves, job.work, s_reject);
+  const bool placed = convex::water_fill_over_curves(
+      curves, job.work, s_reject, fill_terms_, placement_);
 
   ArrivalDecision decision;
-  if (placement.has_value()) {
+  if (placed) {
     model::IntervalStore::Handle h = state_.store.handle_at(window.first);
     for (std::size_t i = 0; i < window.size(); ++i) {
-      state_.store.set_load(h, job.id, placement->amounts[i]);
+      state_.store.set_load(h, job.id, placement_.amounts[i]);
       h = state_.store.next_handle(h);
     }
     // Line 11(a): full workload placed at uniform own-speed s*.
     decision.accepted = true;
-    decision.speed = placement->speed;
-    decision.lambda = delta_ * job.work * power.derivative(placement->speed);
+    decision.speed = placement_.speed;
+    decision.lambda = delta_ * job.work * power.derivative(placement_.speed);
     decision.planned_energy =
-        job.work * util::pos_pow(placement->speed, alpha - 1.0);
+        job.work * util::pos_pow(placement_.speed, alpha - 1.0);
   } else {
     // Line 12(b): the marginal hit v_j first; nothing is committed and
     // lambda = v.
@@ -128,12 +123,23 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   return decision;
 }
 
+double PdScheduler::energy_before(double frontier, double energy) const {
+  // Left to right, skipping empty intervals: the order assignment_energy
+  // sums in, so the retired accumulator continued over the live intervals
+  // reproduces the uncompacted sum bitwise.
+  const model::IntervalStore& store = state_.store;
+  for (model::IntervalStore::Handle h = store.front_handle();
+       h != model::IntervalStore::kNoHandle && store.end_of(h) <= frontier;
+       h = store.next_handle(h)) {
+    if (store.loads(h).empty()) continue;
+    energy += chen::interval_energy(store.loads(h), machine_.num_processors,
+                                    store.length_of(h), machine_.alpha);
+  }
+  return energy;
+}
+
 double PdScheduler::planned_energy() const {
-  // Cold path: snapshot once and reuse the contiguous evaluator, whose
-  // left-to-right summation the retired-energy accumulator continues.
-  return convex::assignment_energy(
-      state_.store.snapshot_assignment(), state_.store.snapshot_partition(),
-      machine_.num_processors, machine_.alpha, retired_energy_);
+  return energy_before(util::kInf, retired_energy_);
 }
 
 model::Schedule PdScheduler::final_schedule() const {

@@ -23,6 +23,7 @@
 #include <optional>
 #include <vector>
 
+#include "convex/water_fill.hpp"
 #include "core/curve_cache.hpp"
 #include "core/online_state.hpp"
 #include "model/instance.hpp"
@@ -197,9 +198,10 @@ class PdScheduler {
   [[nodiscard]] double delta() const { return delta_; }
 
   /// Total energy of the committed plan (sum of interval P_k), including
-  /// the energy of intervals retired by compaction. Bitwise identical to
-  /// the uncompacted engine's value: the accumulator continues the same
-  /// left-to-right non-empty-interval summation assignment_energy runs.
+  /// the energy of intervals retired by compaction. Walks the store with
+  /// no snapshot. Bitwise identical to convex::assignment_energy on the
+  /// snapshots and to the uncompacted engine's value: compaction and this
+  /// walk run the same left-to-right non-empty-interval summation.
   [[nodiscard]] double planned_energy() const;
 
   /// Energy already accounted to compacted (retired) intervals.
@@ -235,11 +237,18 @@ class PdScheduler {
   /// their energy and reclaims store/cache state.
   void compact_before(double frontier);
 
+  /// `energy` plus the energy of the intervals from the front that end at
+  /// or before `frontier`, summed left to right over non-empty intervals.
+  [[nodiscard]] double energy_before(double frontier, double energy) const;
+
   model::Machine machine_;
   double delta_;
   bool record_decisions_;
   OnlineState state_;
   CurveCache cache_;
+  // The water fill's working buffers, reused across arrivals.
+  convex::Placement placement_;
+  std::vector<double> fill_terms_;
   // Snapshot buffers backing the partition()/assignment() accessors (cold
   // path; see the accessor comment).
   mutable model::TimePartition partition_snapshot_;

@@ -10,15 +10,24 @@ namespace pss::util {
 
 PiecewiseLinear PiecewiseLinear::from_knots(std::vector<Knot> knots,
                                             double final_slope) {
-  PSS_REQUIRE(!knots.empty(), "piecewise-linear function needs >= 1 knot");
-  PSS_REQUIRE(final_slope >= 0.0, "final slope must be nonnegative");
   PiecewiseLinear f;
-  f.final_slope_ = final_slope;
-  f.knots_.reserve(knots.size());
-  for (const Knot& k : knots) {
+  f.knots_ = std::move(knots);
+  f.normalize(final_slope);
+  return f;
+}
+
+void PiecewiseLinear::normalize(double final_slope) {
+  PSS_REQUIRE(!knots_.empty(), "piecewise-linear function needs >= 1 knot");
+  PSS_REQUIRE(final_slope >= 0.0, "final slope must be nonnegative");
+  final_slope_ = final_slope;
+  // Compacts in place: `kept` knots are final, and the next read is never
+  // behind the next write.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < knots_.size(); ++i) {
+    const Knot k = knots_[i];
     PSS_REQUIRE(std::isfinite(k.x) && std::isfinite(k.y), "knot not finite");
-    if (!f.knots_.empty()) {
-      Knot& prev = f.knots_.back();
+    if (kept > 0) {
+      Knot& prev = knots_[kept - 1];
       PSS_REQUIRE(k.x >= prev.x, "knots must be sorted by x");
       if (k.x == prev.x) {  // merge duplicate x, keep the later y
         prev.y = std::max(prev.y, k.y);
@@ -28,12 +37,12 @@ PiecewiseLinear PiecewiseLinear::from_knots(std::vector<Knot> knots,
       const double dip = prev.y - k.y;
       PSS_REQUIRE(dip <= 1e-9 * std::max(1.0, std::abs(prev.y)),
                   "knots must be nondecreasing in y");
-      f.knots_.push_back({k.x, std::max(k.y, prev.y)});
+      knots_[kept++] = {k.x, std::max(k.y, prev.y)};
       continue;
     }
-    f.knots_.push_back(k);
+    knots_[kept++] = k;
   }
-  return f;
+  knots_.resize(kept);
 }
 
 PiecewiseLinear PiecewiseLinear::zero() {
@@ -79,19 +88,20 @@ std::optional<double> PiecewiseLinear::first_at_least(double y) const {
   return knots_.back().x + (y - knots_.back().y) / final_slope_;
 }
 
-LazyLinearSum::LazyLinearSum(std::span<const PiecewiseLinear* const> fns)
-    : fns_(fns) {
+LazyLinearSum::LazyLinearSum(std::span<const PiecewiseLinear* const> fns,
+                             std::vector<double>& terms)
+    : fns_(fns), terms_(&terms) {
   PSS_REQUIRE(!fns.empty(), "sum of zero functions");
   front_ = fns.front() ? fns.front()->domain_start() : 0.0;
-  scratch_.reserve(fns.size());
+  terms.clear();
   for (const PiecewiseLinear* f : fns) {
     PSS_REQUIRE(f != nullptr && !f->empty(), "summand is empty");
     PSS_REQUIRE(f->domain_start() == front_,
                 "summands must share a domain start");
     back_ = std::max(back_, f->knots().back().x);
-    scratch_.push_back(f->final_slope());
+    terms.push_back(f->final_slope());
   }
-  final_slope_ = pairwise_sum(scratch_);
+  final_slope_ = pairwise_sum(terms);
 }
 
 double LazyLinearSum::sum_at(double x) const {
@@ -99,9 +109,9 @@ double LazyLinearSum::sum_at(double x) const {
   // per-knot order, so the value here is bitwise the y that the
   // materialized total stores (see util/pairwise_sum.hpp for why pairwise
   // is the canonical order).
-  scratch_.clear();
-  for (const PiecewiseLinear* f : fns_) scratch_.push_back(f->eval(x));
-  return pairwise_sum(scratch_);
+  terms_->clear();
+  for (const PiecewiseLinear* f : fns_) terms_->push_back(f->eval(x));
+  return pairwise_sum(*terms_);
 }
 
 LazyLinearSum::Bracket LazyLinearSum::bracket(double x) const {

@@ -14,6 +14,7 @@
 
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace pss::util {
@@ -33,6 +34,18 @@ class PiecewiseLinear {
   /// floating-point noise are clamped). final_slope must be >= 0.
   [[nodiscard]] static PiecewiseLinear from_knots(std::vector<Knot> knots,
                                                   double final_slope);
+
+  /// In-place form of from_knots: `fill(buffer)` appends the raw knots to
+  /// this function's cleared knot buffer, and from_knots' merge and clamp
+  /// rules then run over that buffer in place. The buffer keeps its
+  /// capacity, so rebuilding a curve whose knot count did not grow
+  /// allocates nothing.
+  template <typename Fill>
+  void rebuild(double final_slope, Fill&& fill) {
+    knots_.clear();
+    std::forward<Fill>(fill)(knots_);
+    normalize(final_slope);
+  }
 
   /// The constant-zero function on [0, inf).
   [[nodiscard]] static PiecewiseLinear zero();
@@ -54,6 +67,10 @@ class PiecewiseLinear {
   [[nodiscard]] bool empty() const { return knots_.empty(); }
 
  private:
+  /// from_knots' validation, duplicate-x merge and monotonicity clamp,
+  /// applied to knots_ in place.
+  void normalize(double final_slope);
+
   std::vector<Knot> knots_;
   double final_slope_ = 0.0;
 };
@@ -76,9 +93,12 @@ class PiecewiseLinear {
 class LazyLinearSum {
  public:
   /// `fns` must be nonempty, all non-null and non-empty, sharing a domain
-  /// start (the same preconditions as PiecewiseLinear::sum). The summands
-  /// must outlive the view.
-  explicit LazyLinearSum(std::span<const PiecewiseLinear* const> fns);
+  /// start (the same preconditions as PiecewiseLinear::sum). `terms` is the
+  /// caller's per-summand term buffer for the pairwise accumulation; a
+  /// buffer reused across views stops allocating once it holds fns.size()
+  /// terms. The summands and the buffer must outlive the view.
+  LazyLinearSum(std::span<const PiecewiseLinear* const> fns,
+                std::vector<double>& terms);
 
   /// Sum of the summands at x, interpolated between the union knots
   /// bracketing x exactly as eval() on the materialized total would.
@@ -102,10 +122,9 @@ class LazyLinearSum {
   double front_ = 0.0;  // shared domain start (first union knot)
   double back_ = 0.0;   // last union knot
   double final_slope_ = 0.0;
-  // Per-summand term buffer for the canonical pairwise accumulation in
-  // sum_at (mutable: queries are logically const and must not allocate
-  // per call on the hot path).
-  mutable std::vector<double> scratch_;
+  // Caller-owned per-summand term buffer for the canonical pairwise
+  // accumulation in sum_at (written by the logically const queries).
+  std::vector<double>* terms_;
 };
 
 }  // namespace pss::util

@@ -5,6 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <tuple>
 
 #include "chen/insertion_curve.hpp"
@@ -12,6 +17,7 @@
 #include "chen/realize.hpp"
 #include "model/instance.hpp"
 #include "model/schedule.hpp"
+#include "support/reference_insertion_curve.hpp"
 #include "util/random.hpp"
 
 namespace pss {
@@ -285,6 +291,117 @@ TEST(InsertionCurve, FullyDedicatedIntervalBlocksSlowInsertion) {
   EXPECT_DOUBLE_EQ(curve.eval(1.0), 0.0);
   EXPECT_DOUBLE_EQ(curve.eval(2.0), 0.0);
   EXPECT_GT(curve.eval(2.5), 0.0);
+}
+
+// ------------------------------------- in-place builder vs frozen reference
+
+// Bitwise equality of every knot and the final slope.
+void expect_same_curve(const util::PiecewiseLinear& got,
+                       const reference::ReferenceCurve& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.knots().size(), want.knots.size()) << what;
+  for (std::size_t i = 0; i < want.knots.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.knots()[i].x),
+              std::bit_cast<std::uint64_t>(want.knots[i].x))
+        << what << " knot " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.knots()[i].y),
+              std::bit_cast<std::uint64_t>(want.knots[i].y))
+        << what << " knot " << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.final_slope()),
+            std::bit_cast<std::uint64_t>(want.final_slope))
+      << what;
+}
+
+// Checks the in-place builder (through one reused scratch and curve) and
+// both wrapper overloads against the frozen reference.
+void expect_matches_reference(const std::vector<Load>& loads,
+                              model::JobId ignore_job, int m, double length,
+                              chen::InsertionScratch& scratch,
+                              util::PiecewiseLinear& reused,
+                              const std::string& what) {
+  std::vector<double> others;
+  for (const Load& l : loads)
+    if (l.job != ignore_job) others.push_back(l.amount);
+  const auto want = reference::reference_insertion_curve(others, m, length);
+  chen::build_insertion_curve(loads, ignore_job, m, length, scratch, reused);
+  expect_same_curve(reused, want, what + " (in place)");
+  expect_same_curve(chen::insertion_curve(others, m, length), want,
+                    what + " (amounts)");
+  expect_same_curve(chen::insertion_curve(loads, ignore_job, m, length), want,
+                    what + " (loads)");
+}
+
+TEST(InsertionCurve, InPlaceBuilderMatchesFrozenReference) {
+  util::Rng rng(2024);
+  // One scratch and one curve across every trial: the buffers grow and
+  // shrink with the random load counts.
+  chen::InsertionScratch scratch;
+  util::PiecewiseLinear reused;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int m = int(rng.uniform_int(1, 6));
+    const int p = int(rng.uniform_int(0, 3 * m + 2));  // often > m loads
+    const double length = std::pow(10.0, rng.uniform(-3.0, 3.0));
+    const std::vector<double> pool{rng.uniform(0.1, 4.0),
+                                   rng.uniform(0.1, 4.0),
+                                   rng.uniform(0.1, 4.0)};
+    const bool duplicates = rng.bernoulli(0.3);
+    std::vector<Load> loads;
+    for (int i = 0; i < p; ++i) {
+      double amount = duplicates ? pool[std::size_t(rng.uniform_int(0, 2))]
+                                 : std::pow(10.0, rng.uniform(-3.0, 3.0));
+      if (rng.bernoulli(0.15)) amount = 0.0;
+      loads.push_back({model::JobId(i), amount});
+    }
+    const model::JobId ignore_job =
+        p > 0 && rng.bernoulli(0.4) ? model::JobId(rng.uniform_int(0, p - 1))
+                                    : model::JobId(-1);
+    expect_matches_reference(loads, ignore_job, m, length, scratch, reused,
+                             "trial " + std::to_string(trial));
+  }
+}
+
+TEST(InsertionCurve, InPlaceBuilderMatchesReferenceOnRoundEqualThresholds) {
+  // Distinct loads whose thresholds u/l round to the same double: the
+  // builder must drop the duplicate candidate exactly as sort + unique did.
+  util::Rng rng(77);
+  chen::InsertionScratch scratch;
+  util::PiecewiseLinear reused;
+  int collisions = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int m = int(rng.uniform_int(1, 4));
+    const double length = rng.uniform(1.5, 9.0);
+    std::vector<Load> loads;
+    for (int i = 0; i < 4; ++i) {
+      const double u = rng.uniform(0.5, 4.0);
+      const double v = std::nextafter(u, 8.0);
+      if (u / length == v / length) ++collisions;
+      loads.push_back({model::JobId(2 * i), u});
+      loads.push_back({model::JobId(2 * i + 1), v});
+    }
+    expect_matches_reference(loads, -1, m, length, scratch, reused,
+                             "trial " + std::to_string(trial));
+  }
+  EXPECT_GT(collisions, 0) << "no threshold pair rounded equal";
+}
+
+TEST(InsertionCurve, InPlaceBuilderMatchesReferenceOnEdgeCases) {
+  chen::InsertionScratch scratch;
+  util::PiecewiseLinear reused;
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  // A threshold that underflows to the 0 candidate, all-zero loads, no
+  // loads, a buffer that shrinks to nothing and grows back, and loads at
+  // both ends of the double range.
+  const std::vector<std::vector<double>> cases{
+      {tiny, 1.0}, {0.0, 0.0}, {}, {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0}, {},
+      {3.0, 0.0, 2.0, 2.0, 1e-9, 5e6}, {1e-300, 3e-300, 2e-300},
+      {1e300, 5e299}};
+  for (std::size_t c = 0; c < cases.size(); ++c)
+    for (int m = 1; m <= 3; ++m)
+      expect_matches_reference(make_loads(cases[c]), -1, m, 4.0, scratch,
+                               reused,
+                               "case " + std::to_string(c) + " m=" +
+                                   std::to_string(m));
 }
 
 // ------------------------------------------------------------- realization

@@ -275,7 +275,8 @@ TEST(LazyLinearSum, MatchesMaterializedSumEverywhere) {
     const auto total = util::PiecewiseLinear::sum(curves);
     std::vector<const util::PiecewiseLinear*> ptrs;
     for (const auto& c : curves) ptrs.push_back(&c);
-    const util::LazyLinearSum lazy(ptrs);
+    std::vector<double> terms;
+    const util::LazyLinearSum lazy(ptrs, terms);
 
     EXPECT_EQ(lazy.final_slope(), total.final_slope());
     for (int probe = 0; probe < 50; ++probe) {
@@ -319,14 +320,17 @@ TEST(LazyLinearSum, MatchesReferenceWaterFill) {
         store.set_load(store.handle_at(k), l.job, l.amount);
     CurveCache cache;
     const auto curves = cache.curves_for(store, m, window, 7);
-    const auto fast = convex::water_fill_over_curves(curves, work, cap);
+    std::vector<double> terms;
+    convex::Placement fast;
+    const bool placed =
+        convex::water_fill_over_curves(curves, work, cap, terms, fast);
 
-    ASSERT_EQ(reference.has_value(), fast.has_value()) << "trial " << trial;
+    ASSERT_EQ(reference.has_value(), placed) << "trial " << trial;
     if (!reference.has_value()) continue;
-    EXPECT_EQ(reference->speed, fast->speed) << "trial " << trial;
-    ASSERT_EQ(reference->amounts.size(), fast->amounts.size());
+    EXPECT_EQ(reference->speed, fast.speed) << "trial " << trial;
+    ASSERT_EQ(reference->amounts.size(), fast.amounts.size());
     for (std::size_t i = 0; i < reference->amounts.size(); ++i)
-      EXPECT_EQ(reference->amounts[i], fast->amounts[i])
+      EXPECT_EQ(reference->amounts[i], fast.amounts[i])
           << "trial " << trial << " interval " << i;
   }
 }
